@@ -9,6 +9,12 @@ before walking the chain. If no intact chain is found, a page-level scan of
 every written page rebuilds the tables from spare metadata, keeping the
 highest sequence number per logical page.
 
+Two paths move live pages, both through `gc_engine.move_live_pages`: a save
+whose head finds every window block occupied empties one first, and the
+post-restore free-pool repair moves a starved bank's victim into other
+banks. Only the repair's last resort, compacting a block through RAM, does
+its own rewrite.
+
 Serialized layout: little-endian sections [tag:4][len:4][crc32:4][bytes],
 wrapped per block by a header carrying magic, version, chain position, next
 block address, per-block payload length and CRCs.
@@ -22,6 +28,7 @@ import numpy as np
 from . import oob
 from .errors import CheckpointError, ExhaustionError
 from .ftl_state import UNMAPPED
+from .gc_engine import move_live_pages
 from .sim_flash import PageAddress
 
 MAGIC = b"BFCK"
@@ -147,15 +154,6 @@ class Checkpointer:
                 return bank, block, 1
         raise CheckpointError("no window block available for the chain head")
 
-    def _staging_room(self, bank):
-        g = self.device.geometry
-        info = self.state.banks[bank]
-        with info.lock:
-            room = info.free_blocks * g.pages_per_block
-            if info.current_block is not None:
-                room += g.pages_per_block - info.next_page
-        return room
-
     def _relocate(self, bank, block):
         """Move a block's valid pages elsewhere in the bank (quiesced).
         Refuses up front when the bank cannot hold the copies plus a block
@@ -164,35 +162,16 @@ class Checkpointer:
         state = self.state
         gblock = bank * g.blocks_per_bank + block
         needed = int(state.valid_count[gblock]) + g.pages_per_block
-        if self._staging_room(bank) < needed:
+        if state.staging_room(bank) < needed:
             raise CheckpointError(f"bank {bank} too full to relocate")
-        moved = 0
-        for page in range(self.device.written_prefix(bank, block)):
-            if not state.valid_bits[gblock, page]:
-                continue
-            old_ppn = g.ppn(bank, block, page)
-            data, spare, desc = self.device.read_page(
-                g.split_ppn(old_ppn), want_spare=True, submit_us=self.sched.now)
-            yield desc.complete_us - self.sched.now
-            meta = oob.decode_spare(spare, data)
-            if meta is None:
-                continue
-            lpn = meta[1]
-            new_ppn = state.alloc_page_in_bank(bank)
-            if new_ppn is None:
-                raise CheckpointError(f"bank {bank} too full to relocate")
-            new_spare = oob.encode_spare(oob.TYPE_DATA, lpn, meta[2], data)
-            wdesc = self.device.write_page(
-                g.split_ppn(new_ppn), data, new_spare, submit_us=self.sched.now)
-            yield wdesc.complete_us - self.sched.now
-            state.map_update_locked(lpn, new_ppn)
-            state.mark_valid(new_ppn)
-            state.mark_invalid(old_ppn)
-            moved += 1
+        moved = yield from move_live_pages(
+            self.sched, self.device, state, bank, block,
+            lambda: state.alloc_page_in_bank(bank))
+        if not moved:
+            raise CheckpointError(f"bank {bank} too full to relocate")
         desc = self.device.erase_block(bank, block, submit_us=self.sched.now)
         yield desc.complete_us - self.sched.now
         state.release_block(bank, block)
-        return moved
 
     # ---- save ---------------------------------------------------------------
 
@@ -517,44 +496,23 @@ class Checkpointer:
     def _relocate_anywhere(self, bank, block):
         """Move a block's live pages to any bank with room (repair only;
         GC proper stays bank-local). Returns False when targets dry up."""
-        g = self.device.geometry
         state = self.state
-        gblock = bank * g.blocks_per_bank + block
-        for page in range(self.device.written_prefix(bank, block)):
-            if not state.valid_bits[gblock, page]:
-                continue
-            old_ppn = g.ppn(bank, block, page)
-            data, spare, desc = self.device.read_page(
-                g.split_ppn(old_ppn), want_spare=True, submit_us=self.sched.now)
-            yield desc.complete_us - self.sched.now
-            meta = oob.decode_spare(spare, data)
-            if meta is None:
-                continue
-            lpn = meta[1]
-            new_ppn = None
+        banks = state.banks
+
+        def alloc():
             # open tail pages first (no free block spent), then banks that
             # can open a block and still keep one spare
-            targets = sorted(
-                range(g.num_banks),
-                key=lambda t: (state.banks[t].current_block is None,
-                               -state.banks[t].free_blocks))
+            targets = sorted(range(len(banks)),
+                             key=lambda t: (banks[t].current_block is None,
+                                            -banks[t].free_blocks))
             for target in targets:
-                if state.banks[target].current_block is not None:
-                    new_ppn = state.alloc_page_in_bank(target, reserve=0)
-                else:
-                    new_ppn = state.alloc_page_in_bank(target, reserve=1)
-                if new_ppn is not None:
-                    break
-            if new_ppn is None:
-                return False
-            new_spare = oob.encode_spare(oob.TYPE_DATA, lpn, meta[2], data)
-            wdesc = self.device.write_page(
-                g.split_ppn(new_ppn), data, new_spare, submit_us=self.sched.now)
-            yield wdesc.complete_us - self.sched.now
-            state.map_update_locked(lpn, new_ppn)
-            state.mark_valid(new_ppn)
-            state.mark_invalid(old_ppn)
-        return True
+                reserve = 0 if banks[target].current_block is not None else 1
+                ppn = state.alloc_page_in_bank(target, reserve)
+                if ppn is not None:
+                    return ppn
+            return None
+        return (yield from move_live_pages(self.sched, self.device, state,
+                                           bank, block, alloc))
 
     def _compact_block(self, bank, block):
         """Buffer a block's live pages in RAM, erase it, rewrite them from

@@ -160,31 +160,42 @@ class FtlState:
                 self.free_bits[bank, block] = True
                 info.free_blocks += 1
 
-    def alloc_page_in_bank(self, bank, reserve=0):
-        """Next sequential page of the bank's current block, opening a new
-        block when needed. None when the bank is out of space (a new block
-        only opens while more than `reserve` free blocks remain, so GC's
-        copy space cannot be starved by user writes). The caller holds the
-        bank lock across this and the device submit so pages hit the block
-        strictly in order. A block is retired from current-duty the moment
-        it fills, so its stale pages stay visible to GC."""
+    def has_room(self, bank, reserve=0):
+        """Whether alloc_page_in_bank(bank, reserve) can hand out a page: the
+        open block, unless it is GC's last staging space and `reserve` keeps
+        writers out of it, or a new block while more than `reserve` free
+        blocks remain. The reserve guarantees collection can always stage
+        its copies, so a full card cannot deadlock reclaim."""
+        info = self.banks[bank]
+        if info.current_block is not None:
+            return reserve == 0 or info.free_blocks > 0
+        return info.free_blocks > reserve
+
+    def staging_room(self, bank):
+        """Pages the bank can still program: its free blocks plus the tail
+        of its open block."""
         g = self.geometry
         info = self.banks[bank]
         with info.lock:
-            if reserve > 0 and info.current_block is not None and info.free_blocks == 0:
-                # the open block is GC's last staging space; users stay out
+            room = info.free_blocks * g.pages_per_block
+            if info.current_block is not None:
+                room += g.pages_per_block - info.next_page
+        return room
+
+    def alloc_page_in_bank(self, bank, reserve=0):
+        """Next sequential page of the bank's current block, opening a new
+        block when needed. None when the bank has no room (see has_room).
+        The caller holds the bank lock across this and the device submit so
+        pages hit the block strictly in order. A block is retired from
+        current-duty the moment it fills, so its stale pages stay visible
+        to GC."""
+        g = self.geometry
+        info = self.banks[bank]
+        with info.lock:
+            if not self.has_room(bank, reserve):
                 return None
             if info.current_block is None:
-                if info.free_blocks <= reserve:
-                    return None
-                row = self.free_bits[bank]
-                idx = np.flatnonzero(row)
-                if idx.size == 0:
-                    return None
-                block = int(idx[0])
-                row[block] = False
-                info.free_blocks -= 1
-                info.current_block = block
+                info.current_block = self.alloc_free_block(bank)
                 info.next_page = 0
             page = info.next_page
             block = info.current_block

@@ -3,10 +3,13 @@
 Victims are occupied blocks whose valid-page count sits at or below the
 threshold of the bank's escalation level; level 0 reclaims only fully-invalid
 blocks (erase, no copies), higher levels allow progressively more copying.
-Valid pages are always copied to another block inside the same bank, keeping
-their sequence numbers (a copy is the same logical version), and remapped
-with a compare-and-swap so a racing user rewrite wins and the stale copy is
-simply left invalid.
+Valid pages are always copied to another block inside the same bank.
+
+`move_live_pages` is the one live-page move: GC, the checkpoint's head
+relocation and the post-restore free-pool repair all use it and differ only
+in where the copies go. A copy keeps its source's sequence number (it is the
+same logical version) and is remapped with a compare-and-swap, so a racing
+user rewrite wins and the stale copy is simply left invalid.
 
 Three invocation policies: NPGC runs collection inline in the write path when
 the chosen bank is short on free blocks; PLLGC runs co-running collector
@@ -18,6 +21,55 @@ busy, and bars writers from the single most-starved bank (exclusiveGC).
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import oob
+
+
+def move_live_pages(sched, device, state, bank, block, alloc, cores=None,
+                    copy_cpu_us=0, on_remap=None):
+    """Copy a block's live pages to the pages `alloc()` hands out.
+
+    Walks the written prefix and reads each valid page with its spare; torn
+    pages hold nothing to preserve and are skipped. `alloc()` and the copy's
+    program submit run under the source bank's lock, so bank-local copies
+    hit their block strictly in order. Once the program completes (and, with
+    `cores`, the host has been charged `copy_cpu_us`), the copy is remapped
+    by compare-and-swap: a user rewrite that landed meanwhile wins, and the
+    copy stays invalid. `on_remap(won)` sees each swap's outcome. Returns
+    False as soon as `alloc()` finds no room, True when every page moved."""
+    g = device.geometry
+    gblock = bank * g.blocks_per_bank + block
+    lock = state.banks[bank].lock
+    for page in range(device.written_prefix(bank, block)):
+        if not state.valid_bits[gblock, page]:
+            continue
+        old_ppn = g.ppn(bank, block, page)
+        data, spare, desc = device.read_page(
+            g.split_ppn(old_ppn), want_spare=True, submit_us=sched.now)
+        yield desc.complete_us - sched.now
+        meta = oob.decode_spare(spare, data)
+        if meta is None:
+            continue
+        lpn = meta[1]
+        # a fresh stamp would let a copy that loses its swap outrank newer
+        # user data during recovery
+        new_spare = oob.encode_spare(oob.TYPE_DATA, lpn, meta[2], data)
+        with lock:
+            new_ppn = alloc()
+            if new_ppn is None:
+                return False
+            wdesc = device.write_page(g.split_ppn(new_ppn), data, new_spare,
+                                      submit_us=sched.now)
+        yield wdesc.complete_us - sched.now
+        if cores:
+            yield cores.charge(copy_cpu_us)
+        won = state.map_update_if(lpn, old_ppn, new_ppn)
+        if won:
+            state.mark_valid(new_ppn)
+            state.mark_invalid(old_ppn)
+        if on_remap:
+            on_remap(won)
+    return True
 
 
 @dataclass(frozen=True)
@@ -160,67 +212,35 @@ class GcController:
         """Copy the victim's valid pages into the same bank, then erase it.
         Returns the stats delta; aborts (no erase) if the bank runs out of
         room for copies, leaving already-moved pages consistent."""
-        from .oob import TYPE_DATA, decode_spare, encode_spare
-
-        g = self.device.geometry
         state = self.state
         before = self.stats.snapshot()
         t0 = self.sched.now
-        gblock = bank * g.blocks_per_bank + block
-        info = state.banks[bank]
         self._note("victim-selected", bank, block)
         if self.cores:
             yield self.cores.charge(self.policy.round_cpu_us)
-        with info.lock:
-            staging = info.free_blocks * g.pages_per_block
-            if info.current_block is not None:
-                staging += g.pages_per_block - info.next_page
-        if int(state.valid_count[gblock]) > staging:
+        gblock = bank * self.device.geometry.blocks_per_bank + block
+        if int(state.valid_count[gblock]) > state.staging_room(bank):
             # not enough same-bank room to stage the copies; bail before
             # wasting writes (the caller tries another bank; the recovery
             # repair keeps serving banks out of this state)
             self._note("abort-no-room", bank, block)
             self.stats.busy_us += self.sched.now - t0
             return self.stats.delta(before)
-        aborted = False
-        for page in range(self.device.written_prefix(bank, block)):
-            if not state.valid_bits[gblock, page]:
-                continue
-            victim_ppn = g.ppn(bank, block, page)
-            addr = g.split_ppn(victim_ppn)
-            data, spare, desc = self.device.read_page(
-                addr, want_spare=True, submit_us=self.sched.now)
-            yield desc.complete_us - self.sched.now
-            meta = decode_spare(spare, data)
-            if meta is None:
-                continue               # torn page, nothing to preserve
-            lpn = meta[1]
-            # the copy keeps the source page's sequence number: it is the
-            # same logical version, and a fresh stamp would let a wasted
-            # copy (lost CAS) outrank newer user data during recovery
-            new_spare = encode_spare(TYPE_DATA, lpn, meta[2], data)
-            with info.lock:
-                new_ppn = state.alloc_page_in_bank(bank)
-                if new_ppn is not None:
-                    wdesc = self.device.write_page(
-                        g.split_ppn(new_ppn), data, new_spare,
-                        submit_us=self.sched.now)
-            if new_ppn is None:
-                self._note("abort-no-room", bank, block)
-                aborted = True
-                break
-            yield wdesc.complete_us - self.sched.now
-            if self.cores:
-                yield self.cores.charge(self.policy.copy_cpu_us)
+
+        def remapped(won):
             self._note("copy", bank, block)
-            if state.map_update_if(lpn, victim_ppn, new_ppn):
-                state.mark_valid(new_ppn)
-                state.mark_invalid(victim_ppn)
+            if won:
                 self.stats.valid_pages_copied += 1
             else:
                 # user rewrote the lpn mid-copy; the fresh page stays invalid
                 self.stats.wasted_copies += 1
-        if not aborted and int(state.valid_count[gblock]) == 0:
+        done = yield from move_live_pages(
+            self.sched, self.device, state, bank, block,
+            lambda: state.alloc_page_in_bank(bank), self.cores,
+            self.policy.copy_cpu_us, remapped)
+        if not done:
+            self._note("abort-no-room", bank, block)
+        elif int(state.valid_count[gblock]) == 0:
             if self.cores:
                 yield self.cores.charge(self.policy.round_cpu_us)
             desc = self.device.erase_block(bank, block, submit_us=self.sched.now)

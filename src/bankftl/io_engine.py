@@ -336,17 +336,6 @@ class IoEngine:
         ppn = yield from self._program_lpn_page(lpn, buf, dirty_mask)
         self._map_flushed(lpn, ppn)
 
-    def _bank_has_space(self, bank):
-        """Room for a user write, mirroring alloc_page_in_bank's reserve
-        rules: an open current block (not GC's last staging space), or free
-        blocks over the GC reserve. The reserve guarantees collection can
-        always stage its copies, so a full card cannot deadlock reclaim."""
-        info = self.state.banks[bank]
-        reserve = self.params.gc_reserve_blocks
-        if info.current_block is not None:
-            return reserve == 0 or info.free_blocks > 0
-        return info.free_blocks > reserve
-
     def pick_bank(self, exclude=()):
         """Rotate over banks with room, skipping GC-flagged ones when any
         alternative exists; with every candidate flagged, pick at random."""
@@ -355,7 +344,8 @@ class IoEngine:
         candidates = []
         for i in range(g.num_banks):
             bank = (self._bank_cursor + i) % g.num_banks
-            if bank in exclude or not self._bank_has_space(bank):
+            if bank in exclude or not self.state.has_room(
+                    bank, self.params.gc_reserve_blocks):
                 continue
             candidates.append(bank)
         if not candidates:
@@ -394,7 +384,7 @@ class IoEngine:
             if self.policy_kind == "NPGC" and self.gc is not None:
                 for b in range(self.device.geometry.num_banks):
                     yield from self.gc.npgc_before_write(b)
-                if any(self._bank_has_space(b)
+                if any(self.state.has_room(b, self.params.gc_reserve_blocks)
                        for b in range(self.device.geometry.num_banks)):
                     continue
                 raise ExhaustionError("no free block in any bank after NPGC")

@@ -157,6 +157,28 @@ def test_head_relocation_when_windows_full():
             assert ppn != UNMAPPED   # relocated data still mapped
 
 
+def test_head_relocation_keeps_a_block_of_headroom():
+    eng = tiny_engine()
+    window = window_blocks(TINY, 4)
+    # bank 0 holds the emptiest window blocks but only one free block: too
+    # little room to take their copies and still keep a spare block
+    spare = TINY.blocks_per_bank // 2
+    assert spare not in window
+    for block in range(TINY.blocks_per_bank):
+        if block != spare:
+            live = [block] if block in window else []
+            synth_block(eng, 0, block, live, fill_pages=TINY.pages_per_block)
+    for bank in range(1, TINY.num_banks):
+        for block in window:
+            base = 1 + bank * 100 + block * 2
+            synth_block(eng, bank, block, [base, base + 1], fill_pages=2)
+    head = eng.run(eng.ckpt.save())
+    assert head == (1, window[0], 1)
+    assert eng.state.banks[0].free_blocks == 1
+    eng.state.audit()
+    eng.shutdown(clean=False)
+
+
 def test_recovery_scan_matches_checkpoint_load():
     eng = tiny_engine()
     rng = random.Random(4)
@@ -224,3 +246,66 @@ def test_roundtrip_identity_property_loop():
         _, _, clone, _ = fresh_pair()
         restore_state(clone, blob)
         assert tables_equal(state, clone)
+
+
+def _count_calls(monkeypatch, name, calls):
+    original = getattr(Checkpointer, name)
+
+    def counting(self, *args):
+        calls[name] += 1
+        return original(self, *args)
+    monkeypatch.setattr(Checkpointer, name, counting)
+
+
+def _crash_and_repair(tmp_path, monkeypatch, banks):
+    """Write every free block of `banks` fully (three live pages, five
+    stale), crash, and restart: the recovery scan finds those banks without
+    a free block, so the free-pool repair has to make one. Returns the
+    restarted engine, each lpn's last page image, and repair call counts."""
+    calls = {"_relocate_anywhere": 0, "_compact_block": 0}
+    for name in calls:
+        _count_calls(monkeypatch, name, calls)
+    image = str(tmp_path / "card.img")
+    eng = tiny_engine(image_path=image)
+    lpn = 0
+    for bank in banks:
+        for block in map(int, np.flatnonzero(eng.state.free_bits[bank])):
+            synth_block(eng, bank, block, list(range(lpn, lpn + 3)))
+            lpn += 3
+    last = {n: eng.device.read_page(TINY.split_ppn(eng.state.map_lookup(n)))[0]
+            for n in range(lpn)}
+    eng.shutdown(clean=False)
+    eng = tiny_engine(image_path=image)
+    assert eng.recovered_via == "recovery_scan"
+    return eng, last, calls
+
+
+def _assert_reads_back(eng, last):
+    eng.audit(deep=True)
+    sector = TINY.read_unit
+    for lpn in range(eng.state.num_lpns):
+        page = last.get(lpn, b"\x00" * TINY.page_size)
+        for s in range(SPP):
+            assert (eng.read_sector(lpn * SPP + s)
+                    == page[s * sector:(s + 1) * sector]), (lpn, s)
+
+
+def test_free_pool_repair_relocates_into_other_banks(tmp_path, monkeypatch):
+    eng, last, calls = _crash_and_repair(tmp_path, monkeypatch, [0])
+    assert calls == {"_relocate_anywhere": 1, "_compact_block": 0}
+    assert eng.state.banks[0].free_blocks == 1
+    bank_pages = TINY.blocks_per_bank * TINY.pages_per_block
+    moved = [n for n in last if eng.state.map_lookup(n) >= bank_pages]
+    assert len(moved) == 3         # one victim's live pages left bank 0
+    _assert_reads_back(eng, last)
+    eng.shutdown(clean=True)
+
+
+def test_free_pool_repair_compacts_a_full_card(tmp_path, monkeypatch):
+    eng, last, calls = _crash_and_repair(tmp_path, monkeypatch,
+                                         range(TINY.num_banks))
+    assert calls["_compact_block"] >= 1
+    assert calls["_relocate_anywhere"] >= 1
+    assert all(info.free_blocks >= 1 for info in eng.state.banks)
+    _assert_reads_back(eng, last)
+    eng.shutdown(clean=True)

@@ -1,6 +1,7 @@
 import random
 
 import numpy as np
+import pytest
 
 from bankftl.gc_engine import (GcLevel, GcPolicy, default_adaptive_map,
                                default_levels)
@@ -345,3 +346,40 @@ def test_free_block_progress_and_conservation_loop():
         assert eng.state.banks[bank].valid_pages == valid_before
         eng.state.audit()
         eng.shutdown(clean=False)
+
+
+def test_copy_losing_its_remap_race_stays_invalid():
+    eng = gc_engine()
+    g = eng.device.geometry
+    lpn = 5
+    synth_block(eng, 0, 0, [lpn], fill_pages=4)
+    victim_ppn = eng.state.map_lookup(lpn)
+    info = eng.state.banks[0]
+    # step the collection by hand until the copy's program is submitted:
+    # it now waits for that program, and its remap is still to come
+    written = eng.device.device_stats().pages_written
+    gen = eng.gc.collect_block(0, 0)
+    while eng.device.device_stats().pages_written == written:
+        next(gen)
+    copy_ppn = g.ppn(0, info.current_block, info.next_page - 1)
+    rewrite = {}
+    for s in range(SPP):
+        rewrite[lpn * SPP + s] = sector_payload(("user", s), SECTOR)
+        eng.write_sector(lpn * SPP + s, rewrite[lpn * SPP + s])
+    eng.flush()
+    user_ppn = eng.state.map_lookup(lpn)
+    assert user_ppn not in (victim_ppn, copy_ppn)
+    with pytest.raises(StopIteration) as stop:
+        while True:
+            next(gen)
+    delta = stop.value.value
+    assert delta.wasted_copies == 1
+    assert delta.valid_pages_copied == 0
+    assert delta.blocks_collected == 1       # the rewrite emptied the victim
+    assert eng.state.map_lookup(lpn) == user_ppn
+    assert not eng.state.valid_bits[copy_ppn // g.pages_per_block,
+                                    copy_ppn % g.pages_per_block]
+    for lsn, data in rewrite.items():
+        assert eng.read_sector(lsn) == data
+    eng.audit(deep=True)
+    eng.shutdown(clean=True)
