@@ -335,6 +335,9 @@ class Checkpointer:
 
     def _scan_bank(self, bank, found, free_blocks_out, partial_out):
         g = self.device.geometry
+        # erased reads hand back these very objects, so most compares are
+        # identity checks
+        erased_page, erased_spare = self.device.erased_page, self.device.erased_spare
         for block in range(g.blocks_per_bank):
             if self.state.bad_bits[bank, block]:
                 continue
@@ -346,7 +349,7 @@ class Checkpointer:
                     submit_us=self.sched.now)
                 self.scan_reads += 1
                 yield desc.complete_us - self.sched.now
-                if spare == b"\xff" * g.spare_per_page and data == b"\xff" * g.page_size:
+                if spare == erased_spare and data == erased_page:
                     if first:
                         free_blocks_out.append((bank, block))
                     elif block_type == oob.TYPE_DATA:

@@ -11,6 +11,12 @@ submission order.
 
 State mutates at request acceptance; timestamps are accounting. Erase resets a
 block to all-ones and pages must be programmed strictly in order, never twice.
+
+A block's state is created the first time the block is programmed, erased,
+marked bad or loaded from an image; until then it reads as erased, with erase
+count 0. So the paper's full card (card512, 262,144 blocks) builds in
+milliseconds and holds only the blocks a run touches. Erased reads return
+slices of one shared all-ones page and spare per device.
 """
 
 import pickle
@@ -184,11 +190,14 @@ class SimFlashDevice:
         self.model = (model or LatencyModel()).validate()
         g = self.geometry
         self._lock = threading.RLock()
-        self._banks = [[_Block(g.pages_per_block) for _ in range(g.blocks_per_bank)]
-                       for _ in range(g.num_banks)]
+        # None until the block is first touched (see _block)
+        self._banks = [[None] * g.blocks_per_bank for _ in range(g.num_banks)]
+        self._bad_blocks = set()
+        self.erased_page = b"\xff" * g.page_size
+        self.erased_spare = b"\xff" * g.spare_per_page
         for bank, block in bad_blocks:
             self._check_block(bank, block)
-            self._banks[bank][block].is_bad = True
+            self._mark_bad(bank, block)
         # fixed queue map: 1 write + 1 erase queue per interface,
         # 1 read queue per two consecutive banks
         self.write_queues = [_Queue(f"wq{i}") for i in range(g.num_interfaces)]
@@ -214,6 +223,17 @@ class SimFlashDevice:
         self._check_block(addr.bank, addr.block)
         if not (0 <= addr.page < self.geometry.pages_per_block):
             raise AddressError(f"page {addr.page} out of range")
+
+    def _block(self, bank, block):
+        """The block's state, created on first touch."""
+        blk = self._banks[bank][block]
+        if blk is None:
+            blk = self._banks[bank][block] = _Block(self.geometry.pages_per_block)
+        return blk
+
+    def _mark_bad(self, bank, block):
+        self._block(bank, block).is_bad = True
+        self._bad_blocks.add((bank, block))
 
     def _queue_for(self, kind, bank):
         itf = bank // self.geometry.banks_per_interface
@@ -259,7 +279,7 @@ class SimFlashDevice:
         g = self.geometry
         with self._lock:
             self._check_addr(addr)
-            blk = self._banks[addr.bank][addr.block]
+            blk = self._block(addr.bank, addr.block)
             if blk.is_bad:
                 raise BadBlockError(f"bank {addr.bank} block {addr.block} is bad")
             if len(data) != g.page_size:
@@ -302,16 +322,16 @@ class SimFlashDevice:
             if submit_us is None:
                 submit_us = self.now_us
             blk = self._banks[addr.bank][addr.block]
-            stored = blk.pages[addr.page]
+            stored = None if blk is None else blk.pages[addr.page]
             if stored is None:
-                data = b"\xff" * length
-                spare = b"\xff" * g.spare_per_page
+                data = self.erased_page[:length]
+                spare = self.erased_spare
             else:
                 if (zlib.crc32(stored) & 0xFFFFFFFF) != blk.crcs[addr.page]:
                     self._stats.parity_errors += 1
                 data = stored[offset:offset + length]
                 raw = blk.spares[addr.page]
-                spare = raw + b"\xff" * (g.spare_per_page - len(raw))
+                spare = raw + self.erased_spare[len(raw):]
             units = max(1, length // g.read_unit)
             self._stats.read_ops += 1
             self._stats.read_units += units
@@ -327,7 +347,7 @@ class SimFlashDevice:
     def erase_block(self, bank, block, submit_us=None):
         with self._lock:
             self._check_block(bank, block)
-            blk = self._banks[bank][block]
+            blk = self._block(bank, block)
             if blk.is_bad:
                 raise BadBlockError(f"bank {bank} block {block} is bad")
             if submit_us is None:
@@ -386,14 +406,13 @@ class SimFlashDevice:
             ready.sort(key=lambda c: (c[0], c[1]))
             if max_count is not None:
                 ready = ready[:max_count]
-            out = []
-            for item in ready:
-                self._completions.remove(item)
-                _, _, q, desc = item
+            delivered = {c[1] for c in ready}
+            self._completions = [c for c in self._completions
+                                 if c[1] not in delivered]
+            for _, _, q, _ in ready:
                 q.inflight -= 1
-                self._stats.completions_delivered += 1
-                out.append(desc)
-            return out
+            self._stats.completions_delivered += len(ready)
+            return [c[3] for c in ready]
 
     # ---- introspection ---------------------------------------------------
 
@@ -408,18 +427,16 @@ class SimFlashDevice:
 
     def block_state(self, bank, block):
         blk = self._banks[bank][block]
+        if blk is None:
+            return 0, 0, False, False
         return blk.erase_count, blk.next_writable_page, blk.is_bad, blk.wear_flagged
 
     def bad_block_set(self):
-        out = set()
-        for bank in range(self.geometry.num_banks):
-            for block in range(self.geometry.blocks_per_bank):
-                if self._banks[bank][block].is_bad:
-                    out.add((bank, block))
-        return out
+        return set(self._bad_blocks)
 
     def written_prefix(self, bank, block):
-        return self._banks[bank][block].next_writable_page
+        blk = self._banks[bank][block]
+        return 0 if blk is None else blk.next_writable_page
 
     def reset_clocks(self, now_us=0):
         """Rebase queue/bank virtual clocks (after synthetic state injection,
@@ -443,7 +460,7 @@ class SimFlashDevice:
     def corrupt_spare(self, addr):
         """Test hook: garble a written page's spare (simulated torn write)."""
         blk = self._banks[addr.bank][addr.block]
-        if blk.spares[addr.page] is not None:
+        if blk is not None and blk.spares[addr.page] is not None:
             blk.spares[addr.page] = b"\x00" * len(blk.spares[addr.page])
 
     # ---- persistence ------------------------------------------------------
@@ -454,11 +471,10 @@ class SimFlashDevice:
         with self._lock, open(path, "wb") as fh:
             fh.write(self.IMAGE_MAGIC)
             blocks = {}
-            for bank in range(self.geometry.num_banks):
-                for block in range(self.geometry.blocks_per_bank):
-                    blk = self._banks[bank][block]
-                    if (blk.next_writable_page or blk.erase_count
-                            or blk.is_bad or blk.wear_flagged):
+            for bank, row in enumerate(self._banks):
+                for block, blk in enumerate(row):
+                    if blk is not None and (blk.next_writable_page or blk.erase_count
+                                            or blk.is_bad or blk.wear_flagged):
                         blocks[(bank, block)] = (
                             blk.erase_count, blk.next_writable_page, blk.is_bad,
                             blk.wear_flagged,
@@ -484,9 +500,11 @@ class SimFlashDevice:
         geometry, model, bad = parse_profile(payload["profile"])
         dev = cls(geometry, model, bad)
         for (bank, block), row in payload["blocks"].items():
-            blk = dev._banks[bank][block]
+            blk = dev._block(bank, block)
             (blk.erase_count, blk.next_writable_page, blk.is_bad,
              blk.wear_flagged, pages, spares) = row
+            if blk.is_bad:
+                dev._bad_blocks.add((bank, block))
             for i, page in enumerate(pages):
                 blk.pages[i] = page
                 blk.spares[i] = spares[i]

@@ -8,7 +8,10 @@ reviewed step; any other change must leave it as it is.
 
 Scenarios: each GC policy on an aged desk8 card, a checkpoint save whose
 chain head needs a window block emptied first, and two dirty restarts whose
-free-pool repair relocates into other banks and compacts in place.
+free-pool repair relocates into other banks and compacts in place. A second
+digest covers the paper's 64-bank layout (desk64): writes across all banks,
+a clean shutdown and chain load, then a dirty restart whose recovery scan
+probes thousands of blocks that were never programmed or erased.
 """
 
 import hashlib
@@ -23,9 +26,10 @@ from bankftl.engine import Engine, EngineConfig
 from bankftl.gc_engine import GcLevel, GcPolicy
 from bankftl.io_engine import EngineParams
 
-from conftest import TINY, synth_block, tiny_engine
+from conftest import TINY, sector_payload, synth_block, tiny_engine
 
 GOLDEN = "a21bc45567ec6554e83f8e395223b036ebb743210758ba64294be226f64563f4"
+GOLDEN_64_BANKS = "df5d62f12d889205e79933c7b7958bd5807d0cba4a818ce332218ceb14c75077"
 
 
 def _policy_run(kind, seed):
@@ -99,3 +103,38 @@ def test_golden_virtual_time_digest(tmp_path):
     }
     blob = json.dumps(result, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN
+
+
+def _write_sectors(eng, lsns, tag):
+    size = eng.device.geometry.read_unit
+    for lsn in lsns:
+        eng.write_sector(lsn, sector_payload((tag, lsn), size))
+    eng.flush()
+
+
+def test_golden_digest_64_banks(tmp_path):
+    image = str(tmp_path / "desk64.img")
+    eng = tiny_engine(profile="desk64", queues=8, buffers=16, image_path=image)
+    spp = eng.device.geometry.sectors_per_page
+    # three pages' worth of sectors per bank: every bank programs pages
+    _write_sectors(eng, range(3 * 64 * spp), "first")
+    result = {"written": _quiesced_result(eng)}
+    result["written"]["banks_programmed"] = sum(
+        eng.state.banks[bank].valid_pages > 0 for bank in range(64))
+    eng.shutdown(clean=True)
+    eng = tiny_engine(profile="desk64", queues=8, buffers=16, image_path=image)
+    result["chain_load"] = _quiesced_result(eng)
+    result["chain_load"]["recovered_via"] = eng.recovered_via
+    _write_sectors(eng, range(0, 3 * 64 * spp, 3), "second")
+    eng.shutdown(clean=False)
+    eng = tiny_engine(profile="desk64", queues=8, buffers=16, image_path=image)
+    result["dirty_restart"] = _quiesced_result(eng)
+    result["dirty_restart"]["recovered_via"] = eng.recovered_via
+    result["dirty_restart"]["scan_reads"] = eng.ckpt.scan_reads
+    eng.shutdown(clean=False)
+    assert result["written"]["banks_programmed"] == 64
+    assert result["chain_load"]["recovered_via"] == "checkpoint"
+    assert result["dirty_restart"]["recovered_via"] == "recovery_scan"
+    assert eng.ckpt.scan_reads > eng.device.geometry.total_blocks
+    blob = json.dumps(result, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_64_BANKS

@@ -1,8 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
-from bankftl.errors import (BackpressureError, BadBlockError,
+from bankftl.errors import (AddressError, BackpressureError, BadBlockError,
                             ConfigurationError, OverwriteViolation,
                             SequencingViolation)
 from bankftl.sim_flash import (PROFILES, DmaRequest, FlashGeometry,
@@ -323,3 +324,169 @@ def test_image_roundtrip(tmp_path):
     assert copy.block_state(0, 1)[0] == 1
     assert copy.bad_block_set() == {(1, 1)}
     assert copy.device_stats().pages_written == 1
+
+
+# ---- blocks that were never programmed or erased ---------------------------
+
+CARD = PROFILES["card512"]
+
+
+def test_card512_builds_without_materialising_blocks():
+    tracemalloc.start()
+    try:
+        SimFlashDevice(CARD)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_untouched_block_reads_erased_and_is_charged():
+    dev = SimFlashDevice(CARD)
+    m = LatencyModel()
+    addr = PageAddress(63, 4095, 63)
+    data, spare, desc = dev.read_page(addr, want_spare=True)
+    assert data == b"\xff" * CARD.page_size
+    assert spare == b"\xff" * CARD.spare_per_page
+    assert desc.service_latency == CARD.sectors_per_page * m.read_unit_us
+    again, _, _ = dev.read_page(PageAddress(5, 17, 0))
+    assert again is data                   # one shared erased page
+    unit = CARD.read_unit
+    window, _, desc = dev.read_page(addr, offset=3 * unit, length=2 * unit)
+    assert window == b"\xff" * (2 * unit)
+    assert desc.service_latency == 2 * m.read_unit_us
+    probe, spare, desc = dev.read_page(addr, length=0, want_spare=True)
+    assert probe == b"" and spare == b"\xff" * CARD.spare_per_page
+    assert desc.service_latency == m.read_unit_us
+    stats = dev.device_stats()
+    assert stats.read_ops == 4
+    assert stats.read_units == 2 * CARD.sectors_per_page + 2 + 1
+
+
+def test_untouched_block_state_and_prefix():
+    dev = SimFlashDevice(CARD)
+    assert dev.block_state(40, 1234) == (0, 0, False, False)
+    assert dev.written_prefix(40, 1234) == 0
+    with pytest.raises(SequencingViolation):
+        dev.write_page(PageAddress(40, 1234, 1), b"\x01" * CARD.page_size)
+    with pytest.raises(AddressError):
+        dev.write_page(PageAddress(40, CARD.blocks_per_bank, 0),
+                       b"\x01" * CARD.page_size)
+    with pytest.raises(AddressError):
+        dev.erase_block(CARD.num_banks, 0)
+    with pytest.raises(AddressError):
+        dev.read_page(PageAddress(40, 1234, CARD.pages_per_block))
+
+
+def test_erasing_untouched_block_counts_one_cycle():
+    dev = SimFlashDevice(CARD)
+    desc = dev.erase_block(7, 99)
+    assert desc.service_latency == LatencyModel().erase_block_us
+    assert dev.block_state(7, 99) == (1, 0, False, False)
+    assert dev.device_stats().erase_counts_per_bank[7] == 1
+    data, _, _ = dev.read_page(PageAddress(7, 99, 0))
+    assert data == b"\xff" * CARD.page_size
+    dev.write_page(PageAddress(7, 99, 0), b"\x02" * CARD.page_size)
+    assert dev.written_prefix(7, 99) == 1
+
+
+def test_corrupt_spare_of_unwritten_page_does_nothing():
+    dev = tiny_device()
+    dev.corrupt_spare(PageAddress(1, 4, 0))            # never touched
+    dev.write_page(PageAddress(0, 2, 0), page_of(3), b"meta")
+    dev.corrupt_spare(PageAddress(0, 2, 1))            # erased tail
+    for addr in (PageAddress(1, 4, 0), PageAddress(0, 2, 1)):
+        _, spare, _ = dev.read_page(addr, want_spare=True)
+        assert spare == b"\xff" * TINY.spare_per_page
+    assert dev.block_state(1, 4) == (0, 0, False, False)
+    assert dev.written_prefix(0, 2) == 1
+    dev.corrupt_spare(PageAddress(0, 2, 0))            # written page: garbled
+    _, spare, _ = dev.read_page(PageAddress(0, 2, 0), want_spare=True)
+    assert spare[:4] == b"\x00" * 4
+
+
+def test_card512_bad_blocks_rejected_and_reported():
+    bad = [(0, 0), (33, 2048), (63, 4095)]
+    dev = SimFlashDevice(CARD, bad_blocks=bad)
+    assert dev.bad_block_set() == set(bad)
+    dev.bad_block_set().add((1, 1))                    # a copy, not the device's
+    assert dev.bad_block_set() == set(bad)
+    for bank, block in bad:
+        assert dev.block_state(bank, block) == (0, 0, True, False)
+        with pytest.raises(BadBlockError):
+            dev.write_page(PageAddress(bank, block, 0), b"\x01" * CARD.page_size)
+        with pytest.raises(BadBlockError):
+            dev.erase_block(bank, block)
+    assert dev.device_stats().requests_accepted == 0
+
+
+def test_card512_image_roundtrip(tmp_path):
+    dev = SimFlashDevice(CARD, bad_blocks=[(12, 345)])
+    pages = {}
+    for bank, block, count in ((0, 0, 3), (31, 2000, 1), (63, 4095, 2)):
+        for page in range(count):
+            data = bytes([bank, block % 256, page]) * (CARD.page_size // 3) + b"\0\0"
+            dev.write_page(PageAddress(bank, block, page), data, b"sp%d" % page)
+            pages[(bank, block, page)] = data
+    dev.erase_block(50, 7)
+    path = tmp_path / "card.img"
+    dev.save_image(path)
+    copy = SimFlashDevice.load_image(path)
+    assert copy.geometry == CARD
+    assert copy.device_stats() == dev.device_stats()
+    for (bank, block, page), data in pages.items():
+        got, spare, _ = copy.read_page(PageAddress(bank, block, page), want_spare=True)
+        assert got == data and spare[:3] == b"sp%d" % page
+    for bank, block in ((0, 0), (31, 2000), (63, 4095), (50, 7), (12, 345), (5, 5)):
+        assert copy.block_state(bank, block) == dev.block_state(bank, block)
+    assert copy.block_state(50, 7) == (1, 0, False, False)
+    assert copy.block_state(5, 5) == (0, 0, False, False)
+    assert copy.bad_block_set() == {(12, 345)}
+    data, _, _ = copy.read_page(PageAddress(31, 2000, 1))
+    assert data == b"\xff" * CARD.page_size
+    with pytest.raises(OverwriteViolation):
+        copy.write_page(PageAddress(63, 4095, 1), b"\x01" * CARD.page_size)
+
+
+def test_poll_delivers_out_of_order_completions_in_order():
+    rng = random.Random(29)
+    dev = SimFlashDevice(PROFILES["desk8"])
+    dev.enable_request_log()
+    g = dev.geometry
+    next_page = {}
+    for _ in range(400):
+        bank = rng.randrange(g.num_banks)
+        block = rng.randrange(8)
+        submit = rng.randrange(0, 200_000)
+        kind = rng.choice(["read", "read", "write", "erase"])
+        if kind == "write" and next_page.get((bank, block), 0) < g.pages_per_block:
+            page = next_page.get((bank, block), 0)
+            next_page[(bank, block)] = page + 1
+            req = DmaRequest("write", PageAddress(bank, block, page),
+                             data=b"\x03" * g.page_size)
+        elif kind == "erase":
+            next_page[(bank, block)] = 0
+            req = DmaRequest("erase", PageAddress(bank, block, 0))
+        else:
+            req = DmaRequest("read", PageAddress(bank, block, 0), length=g.read_unit)
+        dev.submit_dma(req, submit_us=submit)
+    pending = {row[0]: row[6] for row in dev.request_log}
+    assert len(pending) == 400
+    inflight = lambda: sum(q.inflight for q in
+                           dev.write_queues + dev.erase_queues + dev.read_queues)
+    assert inflight() == 400
+    delivered = 0
+    for max_count, now_us in ((50, 100_000), (None, 150_000), (7, None),
+                              (0, None), (None, None)):
+        ready = sorted((c, rid) for rid, c in pending.items()
+                       if now_us is None or c <= now_us)
+        want = ready if max_count is None else ready[:max_count]
+        got = dev.poll_completions(max_count=max_count, now_us=now_us)
+        assert [(d.complete_us, d.request_id) for d in got] == want
+        for _, rid in want:
+            del pending[rid]
+        delivered += len(want)
+        assert inflight() == len(pending)
+        assert dev.device_stats().completions_delivered == delivered
+    assert delivered == 400 and not pending
+    assert dev.poll_completions() == []
