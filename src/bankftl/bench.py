@@ -228,7 +228,7 @@ def inject_aging(eng, aging):
     if not eng.live:
         raise EngineStateError("engine must be started before aging")
     state, device, g = eng.state, eng.device, eng.device.geometry
-    if int((state.map & np.uint32(0x7FFFFFFF) != UNMAPPED).sum()):
+    if int((state.map != UNMAPPED).sum()):
         raise EngineStateError("aging needs an empty mapping")
     rng = np.random.default_rng(aging.seed)
     ppb = g.pages_per_block
@@ -300,14 +300,13 @@ def aged_read_check(eng, sample=64):
     """Every synthesized mapped lpn must read back its aged payload."""
     g = eng.device.geometry
     state = eng.state
-    values = state.map & np.uint32(0x7FFFFFFF)
-    mapped = np.flatnonzero(values != UNMAPPED)
+    mapped = np.flatnonzero(state.map != UNMAPPED)
     if mapped.size == 0:
         return 0
     step = max(1, mapped.size // sample)
     checked = 0
     for lpn in (int(x) for x in mapped[::step]):
-        data, spare, _ = eng.device.read_page(g.split_ppn(int(values[lpn])),
+        data, spare, _ = eng.device.read_page(g.split_ppn(int(state.map[lpn])),
                                               want_spare=True)
         got_lpn, got_seq = struct.unpack_from("<IQ", data)
         if got_lpn != lpn:

@@ -58,7 +58,7 @@ def serialize_state(state):
         bank_rows.append((info.free_blocks, info.valid_pages, cur, info.next_page))
     bank_blob = np.asarray(bank_rows, dtype=np.int32).tobytes()
     sections = [
-        (b"MAPT", (state.map & np.uint32(0x7FFFFFFF)).tobytes()),
+        (b"MAPT", state.map.tobytes()),
         (b"FREE", np.packbits(state.free_bits).tobytes()),
         (b"VBIT", np.packbits(state.valid_bits).tobytes()),
         (b"VCNT", state.valid_count.tobytes()),

@@ -61,8 +61,10 @@ class EngineConfig:
 
 class Engine:
     """Live engine handle. start()/shutdown() must not race each other;
-    everything else is safe from any thread (a coarse lock serializes the
-    virtual-clock pump)."""
+    everything else is safe from any thread. Below this facade, every actor
+    runs on one cooperative scheduler and takes no lock; the pump lock is
+    the one boundary for OS threads, and every method that submits, pumps
+    or reads engine state holds it."""
 
     def __init__(self, config):
         self.config = config.validate()
@@ -179,7 +181,8 @@ class Engine:
                 raise failure.exc from None
 
     def submit(self, req):
-        return self.io.submit(req)
+        with self._pump_lock:
+            return self.io.submit(req)
 
     def pump(self, event):
         with self._pump_lock:
@@ -207,15 +210,18 @@ class Engine:
     # ---- introspection --------------------------------------------------------------
 
     def reset_baseline(self):
-        self._baseline = (self.device.device_stats(),
-                          dict(self.io.counters),
-                          self.gc.stats.snapshot())
+        with self._pump_lock:
+            self._baseline = (self.device.device_stats(),
+                              dict(self.io.counters),
+                              self.gc.stats.snapshot())
 
     def stats(self):
-        dev = self.device.device_stats()
-        base_dev, base_io, base_gc = self._baseline
-        io = {k: v - base_io.get(k, 0) for k, v in self.io.counters.items()}
-        gc = self.gc.stats.delta(base_gc)
+        with self._pump_lock:
+            dev = self.device.device_stats()
+            base_dev, base_io, base_gc = self._baseline
+            io = {k: v - base_io.get(k, 0) for k, v in self.io.counters.items()}
+            gc = self.gc.stats.delta(base_gc)
+            now = self.sched.now
         flash_pages = dev.pages_written - base_dev.pages_written
         spp = self.device.geometry.sectors_per_page
         user_pages = io["user_sectors_written"] / spp
@@ -231,19 +237,21 @@ class Engine:
                 "wear_events": dev.wear_events,
             },
             "write_amplification": wa,
-            "elapsed_us": self.sched.now,
+            "elapsed_us": now,
         }
 
     def audit(self, deep=False):
-        return self.state.audit(self.device if deep else None)
+        with self._pump_lock:
+            return self.state.audit(self.device if deep else None)
 
     def dirty_sectors(self):
         """LSNs currently dirty in cache buffers (crash-test oracle aid)."""
         out = []
-        for slot in self.io.slots:
-            if slot.lpn is None:
-                continue
-            for s in range(self.io.spp):
-                if slot.dirty & (1 << s):
-                    out.append(slot.lpn * self.io.spp + s)
+        with self._pump_lock:
+            for slot in self.io.slots:
+                if slot.lpn is None:
+                    continue
+                for s in range(self.io.spp):
+                    if slot.dirty & (1 << s):
+                        out.append(slot.lpn * self.io.spp + s)
         return sorted(out)

@@ -1,36 +1,32 @@
-"""In-memory FTL tables and their lock disciplines.
+"""In-memory FTL tables.
 
 Six structures cooperate: the page map (one 4-byte entry per exported logical
-page, top bit doubling as that entry's exclusion lock), the per-bank free-block
-bitmap (guarded by per-bank locks), per-block valid-page bitmaps and counts,
-per-bank counters and flags, the buffer lookup table (lock-free reads,
-confirmed under the slot lock by callers), and the per-LPN buffer-allocation
-claim bitmap. A monotone sequence counter stamps every flushed page's spare.
+page), the per-bank free-block bitmap, per-block valid-page bitmaps and
+counts, per-bank counters and flags, the buffer lookup table, and the per-LPN
+buffer-allocation claim bitmap. A monotone sequence counter stamps every
+flushed page's spare.
 
-All mutators are safe for concurrent use from real threads; the engine's
-cooperative actors use the same entry points. audit() requires quiescence.
+Every caller is an actor on one cooperative scheduler, and each method runs
+to completion within one scheduler step, so no method takes a lock. The
+exclusions that must outlast a virtual wait are explicit state: the per-LPN
+claim bits and each bank's `gc_active`, `exclusive_gc` and `writers_active`.
+OS threads reach these tables only through the `Engine` facade, whose pump
+lock admits one at a time. audit() needs a quiescent engine.
 """
-
-import threading
-import time
 
 import numpy as np
 
 from .errors import AddressError, AuditError, ExhaustionError
 from .oob import decode_spare
 
-UNMAPPED = 0x7FFFFFFF          # all-ones in the 31 value bits
-_LOCK_BIT = np.uint32(1 << 31)
-_VALUE_MASK = np.uint32(0x7FFFFFFF)
-_STRIPES = 64
+UNMAPPED = 0x7FFFFFFF          # all-ones in 31 bits; every ppn stays below it
 
 
 class BankInfo:
-    __slots__ = ("lock", "free_blocks", "valid_pages", "current_block",
+    __slots__ = ("free_blocks", "valid_pages", "current_block",
                  "next_page", "gc_active", "exclusive_gc", "writers_active")
 
     def __init__(self, free_blocks):
-        self.lock = threading.RLock()
         self.free_blocks = free_blocks
         self.valid_pages = 0
         self.current_block = None
@@ -49,7 +45,6 @@ class FtlState:
             raise AddressError("export ratio leaves no logical pages")
         g = geometry
         self.map = np.full(self.num_lpns, UNMAPPED, dtype=np.uint32)
-        self._map_locks = [threading.Lock() for _ in range(_STRIPES)]
         self.free_bits = np.ones((g.num_banks, g.blocks_per_bank), dtype=bool)
         self.bad_bits = np.zeros((g.num_banks, g.blocks_per_bank), dtype=bool)
         for bank, block in bad_blocks:
@@ -57,18 +52,13 @@ class FtlState:
             self.bad_bits[bank, block] = True
         self.valid_bits = np.zeros((g.total_blocks, g.pages_per_block), dtype=bool)
         self.valid_count = np.zeros(g.total_blocks, dtype=np.int32)
-        self._block_locks = [threading.Lock() for _ in range(_STRIPES)]
         self.banks = [BankInfo(int(self.free_bits[b].sum()))
                       for b in range(g.num_banks)]
-        # buffer lookup: slot -> lpn (or None); reverse index for O(1) search.
-        # Reads take no lock and may be stale; callers confirm under slot lock.
+        # buffer lookup: slot -> lpn (or None); reverse index for O(1) search
         self.buf_lookup = [None] * num_buffers
         self._lpn_to_slot = {}
         self.alloc_claims = np.zeros(self.num_lpns, dtype=bool)
-        self._claim_locks = [threading.Lock() for _ in range(_STRIPES)]
-        self._seq_lock = threading.Lock()
         self._seq = 0
-        self._counter_lock = threading.Lock()
         self.mark_valid_total = 0
         self.mark_invalid_total = 0
 
@@ -80,85 +70,50 @@ class FtlState:
 
     def map_lookup(self, lpn):
         self._check_lpn(lpn)
-        return int(self.map[lpn] & _VALUE_MASK)
-
-    def entry_lock(self, lpn):
-        """Spin until this entry's stolen top bit is ours."""
-        self._check_lpn(lpn)
-        stripe = self._map_locks[lpn % _STRIPES]
-        while True:
-            with stripe:
-                if not (self.map[lpn] & _LOCK_BIT):
-                    self.map[lpn] |= _LOCK_BIT
-                    return
-            time.sleep(0)
-
-    def entry_unlock(self, lpn):
-        with self._map_locks[lpn % _STRIPES]:
-            self.map[lpn] &= _VALUE_MASK
-
-    def map_update(self, lpn, new_ppn):
-        """Swap the entry value; caller must hold the entry bit."""
-        stripe = self._map_locks[lpn % _STRIPES]
-        with stripe:
-            entry = self.map[lpn]
-            if not (entry & _LOCK_BIT):
-                raise AssertionError(f"map_update without entry bit for lpn {lpn}")
-            old = int(entry & _VALUE_MASK)
-            self.map[lpn] = np.uint32(new_ppn) | _LOCK_BIT
-            return old
+        return int(self.map[lpn])
 
     def map_update_locked(self, lpn, new_ppn):
-        """entry_lock + swap + unlock; returns the previous ppn."""
-        self.entry_lock(lpn)
-        try:
-            return self.map_update(lpn, new_ppn)
-        finally:
-            self.entry_unlock(lpn)
+        """Point lpn at new_ppn; returns the previous ppn."""
+        self._check_lpn(lpn)
+        old = int(self.map[lpn])
+        self.map[lpn] = new_ppn
+        return old
 
     def map_update_if(self, lpn, expected_old, new_ppn):
         """CAS used by GC page moves: only retarget if nobody rewrote the lpn."""
-        self.entry_lock(lpn)
-        try:
-            if int(self.map[lpn] & _VALUE_MASK) != expected_old:
-                return False
-            self.map_update(lpn, new_ppn)
-            return True
-        finally:
-            self.entry_unlock(lpn)
+        self._check_lpn(lpn)
+        if int(self.map[lpn]) != expected_old:
+            return False
+        self.map[lpn] = new_ppn
+        return True
 
     # ---- free-block bitmap ----------------------------------------------
 
     def alloc_free_block(self, bank):
         info = self.banks[bank]
-        with info.lock:
-            row = self.free_bits[bank]
-            idx = np.flatnonzero(row)
-            if idx.size == 0:
-                raise ExhaustionError(f"bank {bank} has no free block")
-            block = int(idx[0])
-            row[block] = False
-            info.free_blocks -= 1
-            return block
+        row = self.free_bits[bank]
+        idx = np.flatnonzero(row)
+        if idx.size == 0:
+            raise ExhaustionError(f"bank {bank} has no free block")
+        block = int(idx[0])
+        row[block] = False
+        info.free_blocks -= 1
+        return block
 
     def alloc_specific_block(self, bank, block):
-        info = self.banks[bank]
-        with info.lock:
-            if not self.free_bits[bank, block]:
-                return False
-            self.free_bits[bank, block] = False
-            info.free_blocks -= 1
-            return True
+        if not self.free_bits[bank, block]:
+            return False
+        self.free_bits[bank, block] = False
+        self.banks[bank].free_blocks -= 1
+        return True
 
     def release_block(self, bank, block):
         """Return an erased block to the free pool."""
-        info = self.banks[bank]
-        with info.lock:
-            if self.bad_bits[bank, block]:
-                raise AddressError("bad block cannot be freed")
-            if not self.free_bits[bank, block]:
-                self.free_bits[bank, block] = True
-                info.free_blocks += 1
+        if self.bad_bits[bank, block]:
+            raise AddressError("bad block cannot be freed")
+        if not self.free_bits[bank, block]:
+            self.free_bits[bank, block] = True
+            self.banks[bank].free_blocks += 1
 
     def has_room(self, bank, reserve=0):
         """Whether alloc_page_in_bank(bank, reserve) can hand out a page: the
@@ -176,34 +131,32 @@ class FtlState:
         of its open block."""
         g = self.geometry
         info = self.banks[bank]
-        with info.lock:
-            room = info.free_blocks * g.pages_per_block
-            if info.current_block is not None:
-                room += g.pages_per_block - info.next_page
+        room = info.free_blocks * g.pages_per_block
+        if info.current_block is not None:
+            room += g.pages_per_block - info.next_page
         return room
 
     def alloc_page_in_bank(self, bank, reserve=0):
         """Next sequential page of the bank's current block, opening a new
         block when needed. None when the bank has no room (see has_room).
-        The caller holds the bank lock across this and the device submit so
-        pages hit the block strictly in order. A block is retired from
-        current-duty the moment it fills, so its stale pages stay visible
-        to GC."""
+        The caller programs the page in the same scheduler step, without
+        yielding in between, so pages hit the block strictly in order. A
+        block is retired from current-duty the moment it fills, so its stale
+        pages stay visible to GC."""
         g = self.geometry
         info = self.banks[bank]
-        with info.lock:
-            if not self.has_room(bank, reserve):
-                return None
-            if info.current_block is None:
-                info.current_block = self.alloc_free_block(bank)
-                info.next_page = 0
-            page = info.next_page
-            block = info.current_block
-            info.next_page += 1
-            if info.next_page >= g.pages_per_block:
-                info.current_block = None
-                info.next_page = 0
-            return g.ppn(bank, block, page)
+        if not self.has_room(bank, reserve):
+            return None
+        if info.current_block is None:
+            info.current_block = self.alloc_free_block(bank)
+            info.next_page = 0
+        page = info.next_page
+        block = info.current_block
+        info.next_page += 1
+        if info.next_page >= g.pages_per_block:
+            info.current_block = None
+            info.next_page = 0
+        return g.ppn(bank, block, page)
 
     # ---- valid-page accounting -------------------------------------------
 
@@ -211,39 +164,30 @@ class FtlState:
         g = self.geometry
         block = ppn // g.pages_per_block
         page = ppn % g.pages_per_block
-        with self._block_locks[block % _STRIPES]:
-            if self.valid_bits[block, page]:
-                return
-            self.valid_bits[block, page] = True
-            self.valid_count[block] += 1
-        bank = block // g.blocks_per_bank
-        info = self.banks[bank]
-        with info.lock:
-            info.valid_pages += 1
-        with self._counter_lock:
-            self.mark_valid_total += 1
+        if self.valid_bits[block, page]:
+            return
+        self.valid_bits[block, page] = True
+        self.valid_count[block] += 1
+        self.banks[block // g.blocks_per_bank].valid_pages += 1
+        self.mark_valid_total += 1
 
     def mark_invalid(self, ppn):
         """Idempotent: double invalidation is a no-op (GC/flush races)."""
         g = self.geometry
         block = ppn // g.pages_per_block
         page = ppn % g.pages_per_block
-        with self._block_locks[block % _STRIPES]:
-            if not self.valid_bits[block, page]:
-                return
-            self.valid_bits[block, page] = False
-            self.valid_count[block] -= 1
-        bank = block // g.blocks_per_bank
-        info = self.banks[bank]
-        with info.lock:
-            info.valid_pages -= 1
-        with self._counter_lock:
-            self.mark_invalid_total += 1
+        if not self.valid_bits[block, page]:
+            return
+        self.valid_bits[block, page] = False
+        self.valid_count[block] -= 1
+        self.banks[block // g.blocks_per_bank].valid_pages -= 1
+        self.mark_invalid_total += 1
 
     # ---- buffer lookup / allocation claims --------------------------------
 
     def buf_find(self, lpn):
-        """Lock-free search; result may be stale, confirm under the slot lock."""
+        """The slot holding lpn, or None; a result kept across a yield may
+        be stale, so callers confirm it against buf_lookup."""
         return self._lpn_to_slot.get(lpn)
 
     def buf_set(self, slot, lpn):
@@ -256,32 +200,23 @@ class FtlState:
 
     def try_claim_alloc(self, lpn):
         self._check_lpn(lpn)
-        with self._claim_locks[lpn % _STRIPES]:
-            if self.alloc_claims[lpn]:
-                return False
-            self.alloc_claims[lpn] = True
-            return True
-
-    def claim_alloc(self, lpn):
-        """Bit-spinlock per the map-table discipline: spin until claimed."""
-        while not self.try_claim_alloc(lpn):
-            time.sleep(0)
+        if self.alloc_claims[lpn]:
+            return False
+        self.alloc_claims[lpn] = True
+        return True
 
     def release_alloc(self, lpn):
-        with self._claim_locks[lpn % _STRIPES]:
-            self.alloc_claims[lpn] = False
+        self.alloc_claims[lpn] = False
 
     # ---- sequence numbers ---------------------------------------------------
 
     def next_sequence(self):
-        with self._seq_lock:
-            self._seq += 1
-            return self._seq
+        self._seq += 1
+        return self._seq
 
     def sequence_floor(self, value):
-        with self._seq_lock:
-            if value > self._seq:
-                self._seq = value
+        if value > self._seq:
+            self._seq = value
 
     @property
     def sequence(self):
@@ -318,10 +253,7 @@ class FtlState:
         if (self.mark_valid_total - self.mark_invalid_total
                 != int(self.valid_count.sum())):
             problems.append("mark_valid/mark_invalid totals drifted from valid sum")
-        if np.any(self.map & _LOCK_BIT):
-            problems.append("entry lock bit held at quiescence")
-        values = self.map & _VALUE_MASK
-        mapped = values[values != UNMAPPED]
+        mapped = self.map[self.map != UNMAPPED]
         if mapped.size:
             if int(mapped.max()) >= g.total_pages:
                 problems.append("mapped ppn out of range")
@@ -335,8 +267,8 @@ class FtlState:
             problems.append(
                 f"{int(self.valid_count.sum())} valid pages vs {mapped.size} mapped lpns")
         if device is not None:
-            for lpn in np.flatnonzero(values != UNMAPPED):
-                ppn = int(values[lpn])
+            for lpn in np.flatnonzero(self.map != UNMAPPED):
+                ppn = int(self.map[lpn])
                 addr = g.split_ppn(ppn)
                 _, spare, _ = device.read_page(addr, 0, 0, want_spare=True)
                 meta = decode_spare(spare)

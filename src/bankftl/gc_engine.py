@@ -31,15 +31,14 @@ def move_live_pages(sched, device, state, bank, block, alloc, cores=None,
 
     Walks the written prefix and reads each valid page with its spare; torn
     pages hold nothing to preserve and are skipped. `alloc()` and the copy's
-    program submit run under the source bank's lock, so bank-local copies
-    hit their block strictly in order. Once the program completes (and, with
+    program submit run in one scheduler step, so copies hit their target
+    block strictly in order. Once the program completes (and, with
     `cores`, the host has been charged `copy_cpu_us`), the copy is remapped
     by compare-and-swap: a user rewrite that landed meanwhile wins, and the
     copy stays invalid. `on_remap(won)` sees each swap's outcome. Returns
     False as soon as `alloc()` finds no room, True when every page moved."""
     g = device.geometry
     gblock = bank * g.blocks_per_bank + block
-    lock = state.banks[bank].lock
     for page in range(device.written_prefix(bank, block)):
         if not state.valid_bits[gblock, page]:
             continue
@@ -54,12 +53,11 @@ def move_live_pages(sched, device, state, bank, block, alloc, cores=None,
         # a fresh stamp would let a copy that loses its swap outrank newer
         # user data during recovery
         new_spare = oob.encode_spare(oob.TYPE_DATA, lpn, meta[2], data)
-        with lock:
-            new_ppn = alloc()
-            if new_ppn is None:
-                return False
-            wdesc = device.write_page(g.split_ppn(new_ppn), data, new_spare,
-                                      submit_us=sched.now)
+        new_ppn = alloc()
+        if new_ppn is None:
+            return False
+        wdesc = device.write_page(g.split_ppn(new_ppn), data, new_spare,
+                                  submit_us=sched.now)
         yield wdesc.complete_us - sched.now
         if cores:
             yield cores.charge(copy_cpu_us)
@@ -197,16 +195,13 @@ class GcController:
 
     def _claim_bank(self, bank):
         info = self.state.banks[bank]
-        with info.lock:
-            if info.gc_active:
-                return False
-            info.gc_active = True
-            return True
+        if info.gc_active:
+            return False
+        info.gc_active = True
+        return True
 
     def _release_bank(self, bank):
-        info = self.state.banks[bank]
-        with info.lock:
-            info.gc_active = False
+        self.state.banks[bank].gc_active = False
 
     def collect_block(self, bank, block):
         """Copy the victim's valid pages into the same bank, then erase it.

@@ -7,18 +7,22 @@ partially dirty / fully dirty); evicting a non-empty buffer swaps its contents
 into a detached page which is merged with flash if partial, programmed to the
 next page of some bank's current-writing block, and only then mapped.
 
-Lock discipline: buffer contents mutate only under the slot lock; the buffer
-lookup table is read without locks and confirmed under the slot lock; a
-per-LPN claim bit serializes buffer allocation for one LPN; page allocation
-plus device submit happen under the bank lock so a block's pages are
-programmed strictly in order. No lock is ever held across a virtual wait.
+Concurrency: workers, collectors and the flush daemon are actors on one
+cooperative scheduler, and an actor runs alone between its yields, so no step
+takes a lock. Buffer contents and the buffer lookup table change only inside
+a step, and whatever was read before a yield is checked again after it. Page
+allocation and its device submit run in the same step, so a block's pages are
+programmed strictly in order. Exclusion that must outlast a virtual wait is
+explicit state: a per-LPN claim bit serializes buffer installation for one
+LPN, and the writer that holds it keeps it across the 1 us retry when every
+buffer is mid-transition (`_select_buffer` returns None); other writers of
+that LPN retry meanwhile.
 
 Device backpressure is inherent in the synchronous path (queue occupancy is
 charged as wait time), so no retry/backoff loop is needed here; the raw DMA
 surface keeps its explicit backpressure error for direct users.
 """
 
-import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -76,11 +80,10 @@ class IoRequest:
 
 
 class BufferSlot:
-    __slots__ = ("index", "lock", "lpn", "data", "dirty", "last_access")
+    __slots__ = ("index", "lpn", "data", "dirty", "last_access")
 
     def __init__(self, index, size):
         self.index = index
-        self.lock = threading.Lock()
         self.lpn = None
         self.data = bytearray(size)
         self.dirty = 0
@@ -221,12 +224,11 @@ class IoEngine:
             slot_idx = state.buf_find(lpn)
             if slot_idx is not None:
                 slot = self.slots[slot_idx]
-                with slot.lock:
-                    if state.buf_lookup[slot_idx] == lpn:   # confirm under lock
-                        self._write_into_slot(slot, off, data)
-                        self.counters["cache_hits"] += 1
-                        self.counters["user_sectors_written"] += 1
-                        return
+                if state.buf_lookup[slot_idx] == lpn:   # confirm the index
+                    self._write_into_slot(slot, off, data)
+                    self.counters["cache_hits"] += 1
+                    self.counters["user_sectors_written"] += 1
+                    return
                 # lookup was stale; fall through to allocation
             if not state.try_claim_alloc(lpn):
                 # someone else is installing a buffer for this lpn
@@ -240,18 +242,17 @@ class IoEngine:
                     yield 1                       # every slot mid-transition
                     continue
                 slot, origin = picked
-                with slot.lock:
-                    if not self._selection_valid(slot, origin):
-                        continue
-                    if slot.lpn is not None:
-                        # swap contents into a detached page and flush below
-                        detached = (slot.lpn, slot.data, slot.dirty)
-                        slot.data = bytearray(self.params.buffer_size)
-                        self.counters["evictions"] += 1
-                    state.buf_set(slot.index, lpn)
-                    slot.lpn = lpn
-                    slot.dirty = 0
-                    self._write_into_slot(slot, off, data)
+                if not self._selection_valid(slot, origin):
+                    continue
+                if slot.lpn is not None:
+                    # swap contents into a detached page and flush below
+                    detached = (slot.lpn, slot.data, slot.dirty)
+                    slot.data = bytearray(self.params.buffer_size)
+                    self.counters["evictions"] += 1
+                state.buf_set(slot.index, lpn)
+                slot.lpn = lpn
+                slot.dirty = 0
+                self._write_into_slot(slot, off, data)
                 self.counters["cache_misses"] += 1
                 self.counters["user_sectors_written"] += 1
                 break
@@ -269,7 +270,7 @@ class IoEngine:
 
     def _select_buffer(self):
         """Preference order empty > full > LRU partial (stale queue entries
-        are re-validated under the slot lock by the caller)."""
+        are re-validated by the caller)."""
         try:
             return self.slots[self.empty_q.popleft()], "empty"
         except IndexError:
@@ -362,7 +363,7 @@ class IoEngine:
     def get_physical_page(self, exclude=()):
         """Allocate the next page of some bank's current block (public
         surface; the engine's own flushes use _program_page, which couples
-        this with the device submit under the bank lock)."""
+        this with the device submit in one scheduler step)."""
         bank = yield from self._pick_bank_gc(exclude)
         ppn = self.state.alloc_page_in_bank(bank, self.params.gc_reserve_blocks)
         if ppn is None:
@@ -398,16 +399,16 @@ class IoEngine:
         while True:
             bank = yield from self._pick_bank_gc(exclude)
             info = self.state.banks[bank]
-            with info.lock:
-                ppn = self.state.alloc_page_in_bank(
-                    bank, self.params.gc_reserve_blocks)
-                if ppn is not None:
-                    info.writers_active += 1
-                    desc = self.device.write_page(
-                        g.split_ppn(ppn), data, spare, submit_us=self.sched.now)
+            # allocate and program in one step: a block's pages reach the
+            # device strictly in order
+            ppn = self.state.alloc_page_in_bank(
+                bank, self.params.gc_reserve_blocks)
             if ppn is None:
                 yield 1                          # racer drained the bank
                 continue
+            info.writers_active += 1
+            desc = self.device.write_page(
+                g.split_ppn(ppn), data, spare, submit_us=self.sched.now)
             yield desc.complete_us - self.sched.now
             info.writers_active -= 1
             return ppn
@@ -420,12 +421,11 @@ class IoEngine:
         slot_idx = self.state.buf_find(lpn)
         if slot_idx is not None:
             slot = self.slots[slot_idx]
-            with slot.lock:
-                if self.state.buf_lookup[slot_idx] == lpn and slot.dirty & (1 << off):
-                    base = off * self.sector_size
-                    slot.last_access = self.sched.now
-                    self.counters["read_hits"] += 1
-                    return bytes(slot.data[base:base + self.sector_size])
+            if self.state.buf_lookup[slot_idx] == lpn and slot.dirty & (1 << off):
+                base = off * self.sector_size
+                slot.last_access = self.sched.now
+                self.counters["read_hits"] += 1
+                return bytes(slot.data[base:base + self.sector_size])
         self.counters["read_misses"] += 1
         data = yield from self._read_mapped_page(
             lpn, off * self.sector_size, self.sector_size)
@@ -441,20 +441,18 @@ class IoEngine:
         A changed slot means newer acknowledged sectors exist: the stale
         programmed page is simply never mapped (GC reclaims it) and the
         newer contents flush on a later pass."""
-        with slot.lock:
-            lpn, dirty, stamp = slot.lpn, slot.dirty, slot.last_access
-            if lpn is None or dirty == 0:
-                return False
-            snapshot = bytearray(slot.data)
+        lpn, dirty, stamp = slot.lpn, slot.dirty, slot.last_access
+        if lpn is None or dirty == 0:
+            return False
+        snapshot = bytearray(slot.data)
         ppn = yield from self._program_lpn_page(lpn, snapshot, dirty)
-        with slot.lock:
-            if (slot.lpn, slot.dirty, slot.last_access) != (lpn, dirty, stamp):
-                return False
-            self._map_flushed(lpn, ppn)
-            self.state.buf_set(slot.index, None)
-            slot.lpn = None
-            slot.dirty = 0
-            self.empty_q.append(slot.index)
+        if (slot.lpn, slot.dirty, slot.last_access) != (lpn, dirty, stamp):
+            return False
+        self._map_flushed(lpn, ppn)
+        self.state.buf_set(slot.index, None)
+        slot.lpn = None
+        slot.dirty = 0
+        self.empty_q.append(slot.index)
         return True
 
     def flush_daemon_tick(self, now_us):

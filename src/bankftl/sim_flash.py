@@ -20,7 +20,6 @@ slices of one shared all-ones page and spare per device.
 """
 
 import pickle
-import threading
 import zlib
 from dataclasses import dataclass, field, replace
 
@@ -75,8 +74,8 @@ class FlashGeometry:
         if self.spare_per_page < SPARE_BYTES:
             raise ConfigurationError(
                 f"spare_per_page must hold {SPARE_BYTES} metadata bytes")
-        # map entries steal their top bit, so physical pages must fit in 31 bits
-        # (and the all-ones 31-bit pattern is the unmapped sentinel)
+        # the FTL map's unmapped sentinel is the all-ones 31-bit pattern, so
+        # every physical page number must stay below it
         if self.total_pages >= (1 << 31) - 1:
             raise ConfigurationError("total pages must fit in 31 bits")
         return self
@@ -189,7 +188,6 @@ class SimFlashDevice:
         self.geometry = geometry.validate()
         self.model = (model or LatencyModel()).validate()
         g = self.geometry
-        self._lock = threading.RLock()
         # None until the block is first touched (see _block)
         self._banks = [[None] * g.blocks_per_bank for _ in range(g.num_banks)]
         self._bad_blocks = set()
@@ -277,155 +275,150 @@ class SimFlashDevice:
 
     def write_page(self, addr, data, spare=b"", submit_us=None):
         g = self.geometry
-        with self._lock:
-            self._check_addr(addr)
-            blk = self._block(addr.bank, addr.block)
-            if blk.is_bad:
-                raise BadBlockError(f"bank {addr.bank} block {addr.block} is bad")
-            if len(data) != g.page_size:
-                raise AddressError("write payload must be one full page")
-            if len(spare) > g.spare_per_page:
-                raise AddressError("spare payload exceeds spare area")
-            if addr.page < blk.next_writable_page:
-                raise OverwriteViolation(
-                    f"page {addr.page} already written in block {addr.block}")
-            if addr.page > blk.next_writable_page:
-                raise SequencingViolation(
-                    f"expected page {blk.next_writable_page}, got {addr.page}")
-            if submit_us is None:
-                submit_us = self.now_us
-            data = bytes(data)
-            blk.pages[addr.page] = data
-            blk.spares[addr.page] = bytes(spare)
-            blk.crcs[addr.page] = zlib.crc32(data) & 0xFFFFFFFF
-            blk.next_writable_page += 1
-            self._stats.pages_written += 1
-            self._stats.requests_accepted += 1
-            self._stats.completions_delivered += 1
-            done = self._service("write", addr.bank, submit_us)
-            rid = self._next_req_id
-            self._next_req_id += 1
-            self._log(rid, "write", addr, submit_us, done)
-            return CompletionDescriptor(rid, "ok", submit_us, done)
+        self._check_addr(addr)
+        blk = self._block(addr.bank, addr.block)
+        if blk.is_bad:
+            raise BadBlockError(f"bank {addr.bank} block {addr.block} is bad")
+        if len(data) != g.page_size:
+            raise AddressError("write payload must be one full page")
+        if len(spare) > g.spare_per_page:
+            raise AddressError("spare payload exceeds spare area")
+        if addr.page < blk.next_writable_page:
+            raise OverwriteViolation(
+                f"page {addr.page} already written in block {addr.block}")
+        if addr.page > blk.next_writable_page:
+            raise SequencingViolation(
+                f"expected page {blk.next_writable_page}, got {addr.page}")
+        if submit_us is None:
+            submit_us = self.now_us
+        data = bytes(data)
+        blk.pages[addr.page] = data
+        blk.spares[addr.page] = bytes(spare)
+        blk.crcs[addr.page] = zlib.crc32(data) & 0xFFFFFFFF
+        blk.next_writable_page += 1
+        self._stats.pages_written += 1
+        self._stats.requests_accepted += 1
+        self._stats.completions_delivered += 1
+        done = self._service("write", addr.bank, submit_us)
+        rid = self._next_req_id
+        self._next_req_id += 1
+        self._log(rid, "write", addr, submit_us, done)
+        return CompletionDescriptor(rid, "ok", submit_us, done)
 
     def read_page(self, addr, offset=0, length=None, want_spare=False,
                   submit_us=None):
         g = self.geometry
-        with self._lock:
-            self._check_addr(addr)
-            if length is None:
-                length = g.page_size - offset
-            if offset < 0 or length < 0 or offset + length > g.page_size:
-                raise AddressError("read window outside page")
-            if length % g.read_unit or offset % g.read_unit:
-                raise AddressError("reads are read_unit granular")
-            if submit_us is None:
-                submit_us = self.now_us
-            blk = self._banks[addr.bank][addr.block]
-            stored = None if blk is None else blk.pages[addr.page]
-            if stored is None:
-                data = self.erased_page[:length]
-                spare = self.erased_spare
-            else:
-                if (zlib.crc32(stored) & 0xFFFFFFFF) != blk.crcs[addr.page]:
-                    self._stats.parity_errors += 1
-                data = stored[offset:offset + length]
-                raw = blk.spares[addr.page]
-                spare = raw + self.erased_spare[len(raw):]
-            units = max(1, length // g.read_unit)
-            self._stats.read_ops += 1
-            self._stats.read_units += units
-            self._stats.requests_accepted += 1
-            self._stats.completions_delivered += 1
-            done = self._service("read", addr.bank, submit_us, units)
-            rid = self._next_req_id
-            self._next_req_id += 1
-            self._log(rid, "read", addr, submit_us, done)
-            desc = CompletionDescriptor(rid, "ok", submit_us, done)
-            return data, (spare if want_spare else b""), desc
+        self._check_addr(addr)
+        if length is None:
+            length = g.page_size - offset
+        if offset < 0 or length < 0 or offset + length > g.page_size:
+            raise AddressError("read window outside page")
+        if length % g.read_unit or offset % g.read_unit:
+            raise AddressError("reads are read_unit granular")
+        if submit_us is None:
+            submit_us = self.now_us
+        blk = self._banks[addr.bank][addr.block]
+        stored = None if blk is None else blk.pages[addr.page]
+        if stored is None:
+            data = self.erased_page[:length]
+            spare = self.erased_spare
+        else:
+            if (zlib.crc32(stored) & 0xFFFFFFFF) != blk.crcs[addr.page]:
+                self._stats.parity_errors += 1
+            data = stored[offset:offset + length]
+            raw = blk.spares[addr.page]
+            spare = raw + self.erased_spare[len(raw):]
+        units = max(1, length // g.read_unit)
+        self._stats.read_ops += 1
+        self._stats.read_units += units
+        self._stats.requests_accepted += 1
+        self._stats.completions_delivered += 1
+        done = self._service("read", addr.bank, submit_us, units)
+        rid = self._next_req_id
+        self._next_req_id += 1
+        self._log(rid, "read", addr, submit_us, done)
+        desc = CompletionDescriptor(rid, "ok", submit_us, done)
+        return data, (spare if want_spare else b""), desc
 
     def erase_block(self, bank, block, submit_us=None):
-        with self._lock:
-            self._check_block(bank, block)
-            blk = self._block(bank, block)
-            if blk.is_bad:
-                raise BadBlockError(f"bank {bank} block {block} is bad")
-            if submit_us is None:
-                submit_us = self.now_us
-            n = self.geometry.pages_per_block
-            blk.pages = [None] * n
-            blk.spares = [None] * n
-            blk.crcs = [0] * n
-            blk.next_writable_page = 0
-            blk.erase_count += 1
-            if blk.erase_count > self.geometry.erase_cycles_limit and not blk.wear_flagged:
-                blk.wear_flagged = True
-                self._stats.wear_events += 1
-                self._stats.wear_flagged_blocks.append((bank, block))
-            self._stats.blocks_erased += 1
-            self._stats.erase_counts_per_bank[bank] += 1
-            self._stats.requests_accepted += 1
-            self._stats.completions_delivered += 1
-            done = self._service("erase", bank, submit_us)
-            rid = self._next_req_id
-            self._next_req_id += 1
-            self._log(rid, "erase", PageAddress(bank, block, 0), submit_us, done)
-            return CompletionDescriptor(rid, "ok", submit_us, done)
+        self._check_block(bank, block)
+        blk = self._block(bank, block)
+        if blk.is_bad:
+            raise BadBlockError(f"bank {bank} block {block} is bad")
+        if submit_us is None:
+            submit_us = self.now_us
+        n = self.geometry.pages_per_block
+        blk.pages = [None] * n
+        blk.spares = [None] * n
+        blk.crcs = [0] * n
+        blk.next_writable_page = 0
+        blk.erase_count += 1
+        if blk.erase_count > self.geometry.erase_cycles_limit and not blk.wear_flagged:
+            blk.wear_flagged = True
+            self._stats.wear_events += 1
+            self._stats.wear_flagged_blocks.append((bank, block))
+        self._stats.blocks_erased += 1
+        self._stats.erase_counts_per_bank[bank] += 1
+        self._stats.requests_accepted += 1
+        self._stats.completions_delivered += 1
+        done = self._service("erase", bank, submit_us)
+        rid = self._next_req_id
+        self._next_req_id += 1
+        self._log(rid, "erase", PageAddress(bank, block, 0), submit_us, done)
+        return CompletionDescriptor(rid, "ok", submit_us, done)
 
     # ---- DMA queue path --------------------------------------------------
 
     def submit_dma(self, req, submit_us=None):
-        with self._lock:
-            q = self._queue_for(req.kind, req.address.bank)
-            if q.inflight >= QUEUE_CAPACITY:
-                raise BackpressureError(f"{q.name} holds {QUEUE_CAPACITY} requests")
-            if len(self._completions) >= COMPLETION_CAPACITY:
-                raise BackpressureError("completion queue full")
-            # completions_delivered is bumped at poll time on this path
-            delivered_fixup = self._stats.completions_delivered
-            if req.kind == "write":
-                desc = self.write_page(req.address, req.data, req.spare, submit_us)
-            elif req.kind == "erase":
-                desc = self.erase_block(req.address.bank, req.address.block, submit_us)
-            elif req.kind == "read":
-                data, spare, desc = self.read_page(
-                    req.address, req.offset, req.length, req.want_spare, submit_us)
-                desc.data, desc.spare = data, spare
-            else:
-                raise ConfigurationError(f"unknown DMA kind {req.kind!r}")
-            self._stats.completions_delivered = delivered_fixup
-            req.request_id = desc.request_id
-            q.inflight += 1
-            self._completions.append((desc.complete_us, desc.request_id, q, desc))
-            return desc.request_id
+        q = self._queue_for(req.kind, req.address.bank)
+        if q.inflight >= QUEUE_CAPACITY:
+            raise BackpressureError(f"{q.name} holds {QUEUE_CAPACITY} requests")
+        if len(self._completions) >= COMPLETION_CAPACITY:
+            raise BackpressureError("completion queue full")
+        # completions_delivered is bumped at poll time on this path
+        delivered_fixup = self._stats.completions_delivered
+        if req.kind == "write":
+            desc = self.write_page(req.address, req.data, req.spare, submit_us)
+        elif req.kind == "erase":
+            desc = self.erase_block(req.address.bank, req.address.block, submit_us)
+        elif req.kind == "read":
+            data, spare, desc = self.read_page(
+                req.address, req.offset, req.length, req.want_spare, submit_us)
+            desc.data, desc.spare = data, spare
+        else:
+            raise ConfigurationError(f"unknown DMA kind {req.kind!r}")
+        self._stats.completions_delivered = delivered_fixup
+        req.request_id = desc.request_id
+        q.inflight += 1
+        self._completions.append((desc.complete_us, desc.request_id, q, desc))
+        return desc.request_id
 
     def poll_completions(self, max_count=None, now_us=None):
-        with self._lock:
-            ready = [c for c in self._completions
-                     if now_us is None or c[0] <= now_us]
-            ready.sort(key=lambda c: (c[0], c[1]))
-            if max_count is not None:
-                ready = ready[:max_count]
-            delivered = {c[1] for c in ready}
-            self._completions = [c for c in self._completions
-                                 if c[1] not in delivered]
-            for _, _, q, _ in ready:
-                q.inflight -= 1
-            self._stats.completions_delivered += len(ready)
-            return [c[3] for c in ready]
+        ready = [c for c in self._completions
+                 if now_us is None or c[0] <= now_us]
+        ready.sort(key=lambda c: (c[0], c[1]))
+        if max_count is not None:
+            ready = ready[:max_count]
+        delivered = {c[1] for c in ready}
+        self._completions = [c for c in self._completions
+                             if c[1] not in delivered]
+        for _, _, q, _ in ready:
+            q.inflight -= 1
+        self._stats.completions_delivered += len(ready)
+        return [c[3] for c in ready]
 
     # ---- introspection ---------------------------------------------------
 
     def device_stats(self):
-        with self._lock:
-            s = self._stats
-            return replace(
-                s,
-                erase_counts_per_bank=list(s.erase_counts_per_bank),
-                wear_flagged_blocks=list(s.wear_flagged_blocks),
-            )
+        s = self._stats
+        return replace(
+            s,
+            erase_counts_per_bank=list(s.erase_counts_per_bank),
+            wear_flagged_blocks=list(s.wear_flagged_blocks),
+        )
 
     def block_state(self, bank, block):
+        self._check_block(bank, block)
         blk = self._banks[bank][block]
         if blk is None:
             return 0, 0, False, False
@@ -435,18 +428,18 @@ class SimFlashDevice:
         return set(self._bad_blocks)
 
     def written_prefix(self, bank, block):
+        self._check_block(bank, block)
         blk = self._banks[bank][block]
         return 0 if blk is None else blk.next_writable_page
 
     def reset_clocks(self, now_us=0):
         """Rebase queue/bank virtual clocks (after synthetic state injection,
         which writes pages without simulating elapsed time)."""
-        with self._lock:
-            for q in self.write_queues + self.erase_queues + self.read_queues:
-                q.free_at = now_us
-            self.bank_free_at = [now_us] * self.geometry.num_banks
-            self.bus_free_at = [now_us] * self.geometry.num_interfaces
-            self.now_us = now_us
+        for q in self.write_queues + self.erase_queues + self.read_queues:
+            q.free_at = now_us
+        self.bank_free_at = [now_us] * self.geometry.num_banks
+        self.bus_free_at = [now_us] * self.geometry.num_interfaces
+        self.now_us = now_us
 
     def enable_request_log(self):
         self.request_log = []
@@ -459,6 +452,7 @@ class SimFlashDevice:
 
     def corrupt_spare(self, addr):
         """Test hook: garble a written page's spare (simulated torn write)."""
+        self._check_addr(addr)
         blk = self._banks[addr.bank][addr.block]
         if blk is not None and blk.spares[addr.page] is not None:
             blk.spares[addr.page] = b"\x00" * len(blk.spares[addr.page])
@@ -468,7 +462,7 @@ class SimFlashDevice:
     IMAGE_MAGIC = b"BFTLIMG1"
 
     def save_image(self, path):
-        with self._lock, open(path, "wb") as fh:
+        with open(path, "wb") as fh:
             fh.write(self.IMAGE_MAGIC)
             blocks = {}
             for bank, row in enumerate(self._banks):

@@ -1,5 +1,4 @@
 import random
-import threading
 
 import numpy as np
 import pytest
@@ -28,16 +27,9 @@ def test_map_update_returns_previous():
     assert state.map_lookup(5) == 100
     assert state.map_update_locked(5, 222) == 100
     assert state.map_lookup(5) == 222
-
-
-def test_map_update_requires_entry_bit():
-    state = fresh_state()
-    with pytest.raises(AssertionError):
-        state.map_update(3, 50)
-    state.entry_lock(3)
-    assert state.map_update(3, 50) == UNMAPPED
-    state.entry_unlock(3)
-    assert state.map_lookup(3) == 50
+    for lpn in (-1, state.num_lpns):
+        with pytest.raises(AddressError):
+            state.map_update_locked(lpn, 7)
 
 
 def test_map_update_if_cas_semantics():
@@ -46,6 +38,9 @@ def test_map_update_if_cas_semantics():
     assert state.map_update_if(9, 40, 41)
     assert not state.map_update_if(9, 40, 42)
     assert state.map_lookup(9) == 41
+    for lpn in (-1, state.num_lpns):
+        with pytest.raises(AddressError):
+            state.map_update_if(lpn, UNMAPPED, 7)
 
 
 def test_alloc_free_block_exhaustion_and_bad_exclusion():
@@ -149,107 +144,3 @@ def test_audit_detects_non_injective_map():
     state.mark_valid(33)
     with pytest.raises(AuditError):
         state.audit()
-
-
-# ---- real-thread stress (the structures are used by OS threads too) --------
-
-
-def test_claim_exclusivity_under_thread_stress():
-    state = fresh_state()
-    holders = []
-    overlap = []
-
-    def hammer():
-        for _ in range(300):
-            state.claim_alloc(3)
-            holders.append(threading.get_ident())
-            if len(holders) > 1:
-                overlap.append(tuple(holders))
-            holders.remove(threading.get_ident())
-            state.release_alloc(3)
-
-    threads = [threading.Thread(target=hammer) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert overlap == []
-    assert state.try_claim_alloc(3)
-
-
-def test_concurrent_allocators_get_distinct_blocks():
-    for trial in range(20):
-        state = fresh_state()
-        got = []
-
-        def alloc():
-            got.append(state.alloc_free_block(1))
-
-        threads = [threading.Thread(target=alloc) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(set(got)) == 8
-    assert state.banks[1].free_blocks == TINY.blocks_per_bank - 8
-
-
-def test_racing_map_updates_disjoint_lpns():
-    state = fresh_state()
-    errors = []
-
-    def worker(lpn):
-        try:
-            for i in range(500):
-                state.map_update_locked(lpn, i)
-        except Exception as exc:   # pragma: no cover
-            errors.append(exc)
-
-    threads = [threading.Thread(target=worker, args=(lpn,)) for lpn in range(6)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert errors == []
-    assert all(state.map_lookup(lpn) == 499 for lpn in range(6))
-
-
-def test_concurrent_sequence_draws_distinct():
-    state = fresh_state()
-    drawn = []
-
-    def draw():
-        for _ in range(500):
-            drawn.append(state.next_sequence())
-
-    threads = [threading.Thread(target=draw) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(set(drawn)) == 2000
-    assert max(drawn) == 2000
-
-
-def test_threaded_valid_invalid_counters_settle():
-    state = fresh_state()
-    ppns = list(range(64))
-
-    def flip(seed):
-        rng = random.Random(seed)
-        for _ in range(1000):
-            ppn = rng.choice(ppns)
-            if rng.random() < 0.5:
-                state.mark_valid(ppn)
-            else:
-                state.mark_invalid(ppn)
-
-    threads = [threading.Thread(target=flip, args=(s,)) for s in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    recount = state.valid_bits.sum(axis=1)
-    assert np.array_equal(recount, state.valid_count)
-    assert (state.mark_valid_total - state.mark_invalid_total
-            == int(state.valid_count.sum()))

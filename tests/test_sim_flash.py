@@ -376,6 +376,18 @@ def test_untouched_block_state_and_prefix():
         dev.erase_block(CARD.num_banks, 0)
     with pytest.raises(AddressError):
         dev.read_page(PageAddress(40, 1234, CARD.pages_per_block))
+    # negative indices must not wrap to the last bank or block
+    for bank, block in ((-1, -1), (-1, 0), (0, -1), (CARD.num_banks, 0),
+                        (0, CARD.blocks_per_bank)):
+        with pytest.raises(AddressError):
+            dev.block_state(bank, block)
+        with pytest.raises(AddressError):
+            dev.written_prefix(bank, block)
+        with pytest.raises(AddressError):
+            dev.corrupt_spare(PageAddress(bank, block, 0))
+    for page in (-1, CARD.pages_per_block):
+        with pytest.raises(AddressError):
+            dev.corrupt_spare(PageAddress(40, 1234, page))
 
 
 def test_erasing_untouched_block_counts_one_cycle():
