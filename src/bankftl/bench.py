@@ -282,13 +282,7 @@ def inject_aging(eng, aging):
         state.free_bits[bank, block] = False
         state.valid_bits[gblock, positions] = True
         state.valid_count[gblock] = len(positions)
-    for bank in range(g.num_banks):
-        info = state.banks[bank]
-        info.free_blocks = int(state.free_bits[bank].sum())
-        lo = bank * g.blocks_per_bank
-        info.valid_pages = int(state.valid_count[lo:lo + g.blocks_per_bank].sum())
-    state.mark_valid_total = int(state.valid_count.sum())
-    state.mark_invalid_total = 0
+    state.recount()
     state.sequence_floor(n_stale + total_valid + 1)
     device.reset_clocks(eng.sched.now)
     eng.reset_baseline()

@@ -95,15 +95,12 @@ def restore_state(state, payload):
         state.valid_count[:] = np.frombuffer(seen[b"VCNT"], dtype=np.int32)
         rows = np.frombuffer(seen[b"BANK"], dtype=np.int32).reshape(-1, 4)
         for bank, info in enumerate(state.banks):
-            info.free_blocks = int(rows[bank, 0])
-            info.valid_pages = int(rows[bank, 1])
             info.current_block = None if rows[bank, 2] < 0 else int(rows[bank, 2])
             info.next_page = int(rows[bank, 3])
         state.sequence_floor(struct.unpack("<Q", seen[b"SEQC"])[0])
     except KeyError as missing:
         raise CheckpointError(f"missing section {missing}") from None
-    state.mark_valid_total = int(state.valid_count.sum())
-    state.mark_invalid_total = 0
+    state.recount()
 
 
 class Checkpointer:
@@ -397,22 +394,14 @@ class Checkpointer:
                 best[lpn] = (seq, ppn)
         for lpn, (_, ppn) in best.items():
             state.map[lpn] = np.uint32(ppn)
-        state.mark_valid_total = 0
-        state.mark_invalid_total = 0
-        for info in state.banks:
-            info.valid_pages = 0
-            info.current_block = None
-            info.next_page = 0
-        for lpn, (_, ppn) in best.items():
             block = ppn // g.pages_per_block
             page = ppn % g.pages_per_block
             state.valid_bits[block, page] = True
             state.valid_count[block] += 1
-        for bank, info in enumerate(state.banks):
-            info.free_blocks = int(state.free_bits[bank].sum())
-            lo = bank * g.blocks_per_bank
-            info.valid_pages = int(
-                state.valid_count[lo:lo + g.blocks_per_bank].sum())
+        state.recount()
+        for info in state.banks:
+            info.current_block = None
+            info.next_page = 0
         # re-adopt one partially written data block per bank as its current
         # block (largest erased tail first): after a crash of a hot card no
         # block may be free, and these tails are the only staging space left
@@ -425,7 +414,6 @@ class Checkpointer:
             info = state.banks[bank]
             info.current_block = block
             info.next_page = prefix
-        state.mark_valid_total = int(state.valid_count.sum())
         state.sequence_floor(max_seq)
         return len(best)
 
@@ -443,20 +431,12 @@ class Checkpointer:
         g = self.device.geometry
         state = self.state
         for bank in range(g.num_banks):
-            info = state.banks[bank]
-            for block in range(g.blocks_per_bank):
-                if (state.free_bits[bank, block] or state.bad_bits[bank, block]
-                        or block == info.current_block):
-                    continue
-                gblock = bank * g.blocks_per_bank + block
-                if int(state.valid_count[gblock]) != 0:
-                    continue
-                if self.device.written_prefix(bank, block) == 0:
-                    state.release_block(bank, block)
-                    continue
-                desc = self.device.erase_block(bank, block,
-                                               submit_us=self.sched.now)
-                yield desc.complete_us - self.sched.now
+            # fully-stale blocks, lowest block number first
+            while (block := state.min_valid_block(bank, 0)) is not None:
+                if self.device.written_prefix(bank, block):
+                    desc = self.device.erase_block(bank, block,
+                                                   submit_us=self.sched.now)
+                    yield desc.complete_us - self.sched.now
                 state.release_block(bank, block)
         repaired = 0
         for bank in range(g.num_banks):
@@ -464,18 +444,10 @@ class Checkpointer:
             attempts = 0
             while info.free_blocks < 1 and attempts < g.blocks_per_bank:
                 attempts += 1
-                lo = bank * g.blocks_per_bank
-                candidates = [
-                    (int(state.valid_count[lo + b]), b)
-                    for b in range(g.blocks_per_bank)
-                    if not state.free_bits[bank, b]
-                    and not state.bad_bits[bank, b]
-                    and b != info.current_block]
-                candidates.sort()
-                if not candidates or candidates[0][0] >= g.pages_per_block:
+                block = state.min_valid_block(bank, g.pages_per_block - 1)
+                if block is None:
                     break                      # bank is wholly live: nothing to free
-                count, block = candidates[0]
-                if count == 0:
+                if state.valid_count[bank * g.blocks_per_bank + block] == 0:
                     desc = self.device.erase_block(bank, block,
                                                    submit_us=self.sched.now)
                     yield desc.complete_us - self.sched.now

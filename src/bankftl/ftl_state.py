@@ -1,10 +1,18 @@
 """In-memory FTL tables.
 
-Six structures cooperate: the page map (one 4-byte entry per exported logical
-page), the per-bank free-block bitmap, per-block valid-page bitmaps and
-counts, per-bank counters and flags, the buffer lookup table, and the per-LPN
-buffer-allocation claim bitmap. A monotone sequence counter stamps every
-flushed page's spare.
+Seven structures cooperate: the page map (one 4-byte entry per exported
+logical page), the per-bank free-block bitmap, per-block valid-page bitmaps
+and counts, per-bank counters and flags, the GC victim index, the buffer
+lookup table, and the per-LPN buffer-allocation claim bitmap. A monotone
+sequence counter stamps every flushed page's spare.
+
+The victim index keeps, for each bank, one bucket per valid-page count
+(0..pages_per_block) holding the bank's occupied blocks (neither free nor
+bad) at that count, as a bitmask over the bank's block numbers, plus a
+bitmask of the bank's non-empty buckets. The methods that change a block's
+count or occupancy keep it in step; the open block stays indexed, and the
+victim choice skips it. Code that writes the arrays directly calls
+`recount()` afterwards, which re-derives every counter and the index.
 
 Every caller is an actor on one cooperative scheduler, and each method runs
 to completion within one scheduler step, so no method takes a lock. The
@@ -52,15 +60,13 @@ class FtlState:
             self.bad_bits[bank, block] = True
         self.valid_bits = np.zeros((g.total_blocks, g.pages_per_block), dtype=bool)
         self.valid_count = np.zeros(g.total_blocks, dtype=np.int32)
-        self.banks = [BankInfo(int(self.free_bits[b].sum()))
-                      for b in range(g.num_banks)]
+        self.banks = [BankInfo(0) for _ in range(g.num_banks)]
         # buffer lookup: slot -> lpn (or None); reverse index for O(1) search
         self.buf_lookup = [None] * num_buffers
         self._lpn_to_slot = {}
         self.alloc_claims = np.zeros(self.num_lpns, dtype=bool)
         self._seq = 0
-        self.mark_valid_total = 0
-        self.mark_invalid_total = 0
+        self.recount()
 
     # ---- map table -----------------------------------------------------
 
@@ -98,6 +104,7 @@ class FtlState:
         block = int(idx[0])
         row[block] = False
         info.free_blocks -= 1
+        self._toggle_bucket(bank, block)
         return block
 
     def alloc_specific_block(self, bank, block):
@@ -105,6 +112,7 @@ class FtlState:
             return False
         self.free_bits[bank, block] = False
         self.banks[bank].free_blocks -= 1
+        self._toggle_bucket(bank, block)
         return True
 
     def release_block(self, bank, block):
@@ -114,6 +122,7 @@ class FtlState:
         if not self.free_bits[bank, block]:
             self.free_bits[bank, block] = True
             self.banks[bank].free_blocks += 1
+            self._toggle_bucket(bank, block)
 
     def has_room(self, bank, reserve=0):
         """Whether alloc_page_in_bank(bank, reserve) can hand out a page: the
@@ -167,9 +176,12 @@ class FtlState:
         if self.valid_bits[block, page]:
             return
         self.valid_bits[block, page] = True
-        self.valid_count[block] += 1
-        self.banks[block // g.blocks_per_bank].valid_pages += 1
+        count = int(self.valid_count[block])
+        self.valid_count[block] = count + 1
+        bank, local = divmod(block, g.blocks_per_bank)
+        self.banks[bank].valid_pages += 1
         self.mark_valid_total += 1
+        self._rebucket(bank, local, count, count + 1)
 
     def mark_invalid(self, ppn):
         """Idempotent: double invalidation is a no-op (GC/flush races)."""
@@ -179,15 +191,101 @@ class FtlState:
         if not self.valid_bits[block, page]:
             return
         self.valid_bits[block, page] = False
-        self.valid_count[block] -= 1
-        self.banks[block // g.blocks_per_bank].valid_pages -= 1
+        count = int(self.valid_count[block])
+        self.valid_count[block] = count - 1
+        bank, local = divmod(block, g.blocks_per_bank)
+        self.banks[bank].valid_pages -= 1
         self.mark_invalid_total += 1
+        self._rebucket(bank, local, count, count - 1)
+
+    # ---- GC victim index ----------------------------------------------------
+
+    def _toggle_bucket(self, bank, block):
+        """Enter a block that just became occupied into the bucket of its
+        valid count, or take out one that just stopped being occupied."""
+        count = int(self.valid_count[bank * self.geometry.blocks_per_bank + block])
+        row = self.buckets[bank]
+        was = row[count]
+        row[count] = now = was ^ (1 << block)
+        if not (was and now):
+            self.bucket_bits[bank] ^= 1 << count
+
+    def _rebucket(self, bank, block, old, new):
+        """Move an occupied block from bucket `old` to bucket `new`; a free
+        or bad block is not indexed and stays out."""
+        row = self.buckets[bank]
+        bit = 1 << block
+        was = row[old]
+        if not was & bit:
+            return
+        row[old] = was ^ bit
+        if was == bit:
+            self.bucket_bits[bank] ^= 1 << old
+        was = row[new]
+        if not was:
+            self.bucket_bits[bank] |= 1 << new
+        row[new] = was | bit
+
+    def min_valid_block(self, bank, limit):
+        """The bank's occupied block with the fewest valid pages, at most
+        `limit`, ties going to the lowest block number, never the open
+        block; None when no block qualifies. The lowest non-empty bucket
+        within `limit` gives the count and its lowest set bit the block; the
+        open block is the one indexed block that is not a candidate, so at
+        most one bucket is passed over for it."""
+        row = self.buckets[bank]
+        current = self.banks[bank].current_block
+        keep = -1 if current is None else ~(1 << current)
+        counts = self.bucket_bits[bank] & ((2 << limit) - 1)
+        while counts:
+            lowest = counts & -counts
+            blocks = row[lowest.bit_length() - 1] & keep
+            if blocks:
+                return (blocks & -blocks).bit_length() - 1
+            counts ^= lowest
+        return None
+
+    def _index_from_arrays(self):
+        """The victim index (buckets, bucket_bits) that free_bits, bad_bits
+        and valid_count imply; work scales with the occupied blocks."""
+        g = self.geometry
+        width = g.pages_per_block + 1
+        buckets = [[0] * width for _ in range(g.num_banks)]
+        bucket_bits = [0] * g.num_banks
+        occupied = np.flatnonzero(~(self.free_bits | self.bad_bits))
+        banks, blocks = np.divmod(occupied, g.blocks_per_bank)
+        keys, group = np.unique(banks * width + self.valid_count[occupied],
+                                return_inverse=True)
+        members = np.zeros((keys.size, g.blocks_per_bank), dtype=bool)
+        members[group, blocks] = True
+        packed = np.packbits(members, axis=1, bitorder="little")
+        for key, row in zip(keys.tolist(), packed):
+            bank, count = divmod(key, width)
+            buckets[bank][count] = int.from_bytes(row.tobytes(), "little")
+            bucket_bits[bank] |= 1 << count
+        return buckets, bucket_bits
+
+    def recount(self):
+        """Re-derive the per-bank free and valid counters, the mark totals
+        and the victim index from free_bits, bad_bits and valid_count: the
+        one call a bulk writer makes after writing those arrays directly."""
+        g = self.geometry
+        free = self.free_bits.sum(axis=1).tolist()
+        valid = self.valid_count.reshape(
+            g.num_banks, g.blocks_per_bank).sum(axis=1).tolist()
+        for info, f, v in zip(self.banks, free, valid):
+            info.free_blocks = f
+            info.valid_pages = v
+        self.mark_valid_total = sum(valid)
+        self.mark_invalid_total = 0
+        self.buckets, self.bucket_bits = self._index_from_arrays()
 
     # ---- buffer lookup / allocation claims --------------------------------
 
     def buf_find(self, lpn):
-        """The slot holding lpn, or None; a result kept across a yield may
-        be stale, so callers confirm it against buf_lookup."""
+        """The slot holding lpn, or None. buf_set keeps this index and
+        buf_lookup in step, so the answer holds until the caller yields; a
+        result kept across a yield may be stale."""
         return self._lpn_to_slot.get(lpn)
 
     def buf_set(self, slot, lpn):
@@ -253,6 +351,11 @@ class FtlState:
         if (self.mark_valid_total - self.mark_invalid_total
                 != int(self.valid_count.sum())):
             problems.append("mark_valid/mark_invalid totals drifted from valid sum")
+        buckets, bucket_bits = self._index_from_arrays()
+        for bank in range(g.num_banks):
+            if (buckets[bank] != self.buckets[bank]
+                    or bucket_bits[bank] != self.bucket_bits[bank]):
+                problems.append(f"bank {bank}: victim index disagrees with the arrays")
         mapped = self.map[self.map != UNMAPPED]
         if mapped.size:
             if int(mapped.max()) >= g.total_pages:

@@ -5,6 +5,12 @@ threshold of the bank's escalation level; level 0 reclaims only fully-invalid
 blocks (erase, no copies), higher levels allow progressively more copying.
 Valid pages are always copied to another block inside the same bank.
 
+A bank's level is a lookup by its free-block count in a table built once from
+the levels. The victim is read from `FtlState`'s victim index (per bank and
+valid count, a bitmask of occupied blocks, kept in step by the table
+methods), so a collector polling an idle bank pays a few integer operations,
+not a scan of the bank's blocks.
+
 `move_live_pages` is the one live-page move: GC, the checkpoint's head
 relocation and the post-restore free-pool repair all use it and differ only
 in where the copies go. A copy keeps its source's sequence number (it is the
@@ -19,8 +25,6 @@ busy, and bars writers from the single most-starved bank (exclusiveGC).
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import oob
 
@@ -143,6 +147,12 @@ class GcController:
         self.state = state
         self.policy = policy
         self.levels = levels or default_levels(device.geometry)
+        # level by free-block count: the highest level whose threshold the
+        # count is at or below
+        self._level_of_free = [None] * (device.geometry.blocks_per_bank + 1)
+        for i, lvl in enumerate(self.levels):
+            reach = min(max(lvl.free_threshold + 1, 0), len(self._level_of_free))
+            self._level_of_free[:reach] = [i] * reach
         if policy.panic_free_blocks is None:
             policy.panic_free_blocks = max(1, self.levels[-1].free_threshold // 2)
         self.stats = GcStats()
@@ -168,28 +178,14 @@ class GcController:
     # ---- level / victim selection -------------------------------------------
 
     def current_level(self, bank):
-        free = self.state.banks[bank].free_blocks
-        level = None
-        for i, lvl in enumerate(self.levels):
-            if free <= lvl.free_threshold:
-                level = i
-        return level
+        return self._level_of_free[self.state.banks[bank].free_blocks]
 
     def select_victim(self, bank, level):
-        g = self.device.geometry
-        lo = bank * g.blocks_per_bank
-        counts = self.state.valid_count[lo:lo + g.blocks_per_bank]
-        occupied = ~self.state.free_bits[bank] & ~self.state.bad_bits[bank]
-        current = self.state.banks[bank].current_block
-        if current is not None:
-            occupied = occupied.copy()
-            occupied[current] = False
-        limit = self.levels[level].valid_threshold
-        candidates = np.flatnonzero(occupied & (counts <= limit))
-        if candidates.size == 0:
-            return None
-        best = candidates[np.argmin(counts[candidates])]
-        return int(best)
+        """The bank's fewest-valid occupied block within the level's valid
+        threshold, ties to the lowest block number, never the open block;
+        None when no block qualifies. Read from the victim index, so an idle
+        bank costs a few integer operations (see FtlState.min_valid_block)."""
+        return self.state.min_valid_block(bank, self.levels[level].valid_threshold)
 
     # ---- collection ------------------------------------------------------------
 
@@ -284,11 +280,10 @@ class GcController:
 
     def _eligible_banks(self):
         """Banks breaching a threshold, most starved first."""
-        banks = []
-        for bank, info in enumerate(self.state.banks):
-            if self.current_level(bank) is not None:
-                banks.append((info.free_blocks, bank))
-        banks.sort()
+        level_of_free = self._level_of_free
+        banks = sorted((info.free_blocks, bank)
+                       for bank, info in enumerate(self.state.banks)
+                       if level_of_free[info.free_blocks] is not None)
         return [b for _, b in banks]
 
     def gc_worker_round(self, tid):

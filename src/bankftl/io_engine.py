@@ -223,13 +223,10 @@ class IoEngine:
         while True:
             slot_idx = state.buf_find(lpn)
             if slot_idx is not None:
-                slot = self.slots[slot_idx]
-                if state.buf_lookup[slot_idx] == lpn:   # confirm the index
-                    self._write_into_slot(slot, off, data)
-                    self.counters["cache_hits"] += 1
-                    self.counters["user_sectors_written"] += 1
-                    return
-                # lookup was stale; fall through to allocation
+                self._write_into_slot(self.slots[slot_idx], off, data)
+                self.counters["cache_hits"] += 1
+                self.counters["user_sectors_written"] += 1
+                return
             if not state.try_claim_alloc(lpn):
                 # someone else is installing a buffer for this lpn
                 yield 1
@@ -360,16 +357,6 @@ class IoEngine:
         self._bank_cursor = (bank + 1) % g.num_banks
         return bank
 
-    def get_physical_page(self, exclude=()):
-        """Allocate the next page of some bank's current block (public
-        surface; the engine's own flushes use _program_page, which couples
-        this with the device submit in one scheduler step)."""
-        bank = yield from self._pick_bank_gc(exclude)
-        ppn = self.state.alloc_page_in_bank(bank, self.params.gc_reserve_blocks)
-        if ppn is None:
-            raise ExhaustionError(f"bank {bank} exhausted")
-        return self.device.geometry.split_ppn(ppn), bank
-
     def _pick_bank_gc(self, exclude=()):
         """Bank choice plus the NPGC hook: under NPGC, a breached bank is
         collected inline before the write proceeds."""
@@ -421,7 +408,7 @@ class IoEngine:
         slot_idx = self.state.buf_find(lpn)
         if slot_idx is not None:
             slot = self.slots[slot_idx]
-            if self.state.buf_lookup[slot_idx] == lpn and slot.dirty & (1 << off):
+            if slot.dirty & (1 << off):
                 base = off * self.sector_size
                 slot.last_access = self.sched.now
                 self.counters["read_hits"] += 1

@@ -61,8 +61,8 @@ def test_serialize_restore_identity_random():
             state.valid_bits[rng.randrange(TINY.total_blocks),
                              rng.randrange(TINY.pages_per_block)] = True
         state.valid_count[:] = state.valid_bits.sum(axis=1)
+        state.recount()
         for bank, info in enumerate(state.banks):
-            info.free_blocks = int(state.free_bits[bank].sum())
             info.current_block = rng.choice([None, 3])
             info.next_page = rng.randrange(TINY.pages_per_block)
         state.sequence_floor(rng.randrange(1, 10_000))

@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from bankftl.gc_engine import (GcLevel, GcPolicy, default_adaptive_map,
-                               default_levels)
+from bankftl.gc_engine import (GcController, GcLevel, GcPolicy,
+                               default_adaptive_map, default_levels)
 
 from conftest import TINY, ShadowBlockDevice, sector_payload, synth_block, tiny_engine
 
@@ -66,6 +66,26 @@ def test_current_level_boundaries():
     eng.shutdown(clean=True)
 
 
+def test_level_table_matches_threshold_rule():
+    """current_level is a table lookup; the rule it encodes is the highest
+    level whose free threshold the bank's free count is at or below."""
+    rng = random.Random(4)
+    eng = gc_engine()
+    for _ in range(200):
+        levels = [GcLevel(rng.randint(-2, 20), rng.randint(0, 8))
+                  for _ in range(rng.randint(1, 4))]
+        gc = GcController(eng.sched, eng.device, eng.state,
+                          GcPolicy(kind="NPGC", panic_free_blocks=1), levels)
+        for free in range(TINY.blocks_per_bank + 1):
+            eng.state.banks[0].free_blocks = free
+            want = None
+            for i, lvl in enumerate(levels):
+                if free <= lvl.free_threshold:
+                    want = i
+            assert gc.current_level(0) == want
+    eng.shutdown(clean=False)
+
+
 def test_select_victim_zero_valid_only_at_level0():
     eng = gc_engine()
     synth_block(eng, 0, 0, [], fill_pages=4)          # fully stale block
@@ -74,10 +94,12 @@ def test_select_victim_zero_valid_only_at_level0():
     assert eng.gc.select_victim(0, 0) == 0
     eng.state.release_block(0, 0)
     eng.state.free_bits[0, 0] = False                  # hide it again as occupied
-    eng.state.banks[0].free_blocks -= 1
     eng.state.valid_count[0] = 1                       # now nothing is zero-valid
     eng.state.valid_bits[0, 0] = True
+    eng.state.recount()                                # forged arrays -> counters, index
+    assert eng.state.banks[0].free_blocks == 6
     assert eng.gc.select_victim(0, 0) is None
+    assert eng.gc.select_victim(0, 1) == 0
     eng.shutdown(clean=False)
 
 

@@ -105,26 +105,34 @@ def test_select_buffer_lru_partial_oracle(engine):
     assert origin == "partial" and got.index == oracle
 
 
-def test_get_physical_page_skips_gc_banks(engine):
+def take_page(eng, exclude=()):
+    """Pick a bank and allocate its next page in one step, as the engine's
+    own flush does."""
+    bank = eng.io.pick_bank(exclude)
+    ppn = eng.state.alloc_page_in_bank(bank, eng.io.params.gc_reserve_blocks)
+    return TINY.split_ppn(ppn), bank
+
+
+def test_pick_bank_skips_gc_banks(engine):
     eng = engine
     for bank in range(1, TINY.num_banks):
         eng.state.banks[bank].gc_active = True
-    addr, bank = eng.run(eng.io.get_physical_page())
+    addr, bank = take_page(eng)
     assert bank == 0
     eng.state.banks[0].gc_active = True   # now everything is flagged
-    addr, bank = eng.run(eng.io.get_physical_page())
+    addr, bank = take_page(eng)
     assert 0 <= bank < TINY.num_banks     # random pick still delivers
     for bank in range(TINY.num_banks):
         eng.state.banks[bank].gc_active = False
 
 
-def test_get_physical_page_sequential_fill(engine):
+def test_pick_bank_sequential_fill(engine):
     eng = engine
     for bank in range(1, TINY.num_banks):
         eng.state.banks[bank].gc_active = True
     pages = []
     for _ in range(TINY.pages_per_block + 1):
-        addr, bank = eng.run(eng.io.get_physical_page())
+        addr, bank = take_page(eng)
         assert bank == 0
         pages.append((addr.block, addr.page))
     first_block = pages[0][0]
