@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Raw card parallelism: bank-level overlap, shared queues, shared channels.
 
-Writes to banks on different interfaces overlap almost perfectly; banks on
-one interface share a write queue and a channel bus; reads to two banks that
-share one read queue serialize harder than reads to banks that do not.
+Writes to banks on different interfaces overlap almost perfectly; writes to
+one bank serialize; reads to two banks that share one read queue serialize
+harder than reads to banks that do not. Every request below is submitted at
+virtual time 0, so each completion time shows how long the card took.
 """
 
-from bankftl import DmaRequest, PageAddress, make_device
+from bankftl import PageAddress, make_device
 
 dev = make_device("desk8")
 g = dev.geometry
@@ -22,44 +23,25 @@ print(f"single page write: {d.service_latency} us")
 
 # two writes on different interfaces: near-perfect overlap
 dev = make_device("desk8")
-ids = [dev.submit_dma(DmaRequest("write", PageAddress(bank, 0, 0), data=page),
-                      submit_us=0)
-       for bank in (0, 2)]   # banks 0 and 2 sit on different interfaces
-done = dev.poll_completions()
+done = [dev.write_page(PageAddress(bank, 0, 0), page, submit_us=0)
+        for bank in (0, 2)]   # banks 0 and 2 sit on different interfaces
 print(f"two banks, two interfaces: finished at "
-      f"{max(c.complete_us for c in done)} us (completions may arrive out of "
-      f"order: {[c.request_id for c in done]})")
+      f"{max(c.complete_us for c in done)} us")
 
 # two writes to the same bank: executions serialize
 dev = make_device("desk8")
-for p in (0, 1):
-    dev.submit_dma(DmaRequest("write", PageAddress(0, 0, p), data=page), submit_us=0)
-done = dev.poll_completions()
+done = [dev.write_page(PageAddress(0, 0, p), page, submit_us=0) for p in (0, 1)]
 print(f"same bank:                 finished at {max(c.complete_us for c in done)} us")
 
 # reads: banks 0,1 share a read queue; banks 0,2 do not
-unit = b"\x00" * g.read_unit
 for pair in ((0, 1), (0, 2)):
     dev = make_device("desk8")
     for bank in pair:
         dev.write_page(PageAddress(bank, 0, 0), page, submit_us=0)
     dev.reset_clocks(0)
-    for bank in pair:
-        dev.submit_dma(DmaRequest("read", PageAddress(bank, 0, 0),
-                                  length=g.read_unit), submit_us=0)
-    done = dev.poll_completions()
+    done = [dev.read_page(PageAddress(bank, 0, 0), length=g.read_unit,
+                          submit_us=0)[2]
+            for bank in pair]
     share = "share a queue" if pair == (0, 1) else "own queues"
     print(f"reads on banks {pair} ({share}): finished at "
           f"{max(c.complete_us for c in done)} us")
-
-# backpressure: a queue holds 256 requests
-dev = make_device("desk8")
-submitted = 0
-try:
-    for block in range(g.blocks_per_bank):
-        for p in range(g.pages_per_block):
-            dev.submit_dma(DmaRequest("write", PageAddress(0, block, p), data=page),
-                           submit_us=0)
-            submitted += 1
-except Exception as exc:
-    print(f"\nbackpressure after {submitted} queued requests: {exc}")

@@ -8,15 +8,14 @@ from .bench import (AgingSpec, RunReport, WorkloadSpec, drive, emit_report,
                     inject_aging, preset, run, run_init_scan, run_preset,
                     run_queue_scaling)
 from .engine import Engine, EngineConfig
-from .errors import (AuditError, BackpressureError, BadBlockError,
-                     CheckpointError, ConfigurationError, EngineStateError,
-                     ExhaustionError, OverwriteViolation, SequencingViolation)
+from .errors import (AuditError, BadBlockError, CheckpointError,
+                     ConfigurationError, EngineStateError, ExhaustionError,
+                     OverwriteViolation, SequencingViolation)
 from .ftl_state import UNMAPPED, FtlState
 from .gc_engine import GcController, GcLevel, GcPolicy, GcStats, default_levels
 from .io_engine import EngineParams, IoEngine, IoRequest
 from .sched import Scheduler, run_actor
-from .sim_flash import (PROFILES, DmaRequest, FlashGeometry, LatencyModel,
-                        PageAddress, SimFlashDevice, load_profile, make_device,
-                        save_profile)
+from .sim_flash import (PROFILES, FlashGeometry, LatencyModel, PageAddress,
+                        SimFlashDevice, load_profile, make_device, save_profile)
 
 __version__ = "0.1.0"

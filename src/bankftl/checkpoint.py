@@ -15,7 +15,7 @@ post-restore free-pool repair moves a starved bank's victim into other
 banks. Only the repair's last resort, compacting a block through RAM, does
 its own rewrite.
 
-Serialized layout: little-endian sections [tag:4][len:4][crc32:4][bytes],
+Serialized layout: the sections of `oob.pack_sections`, one per table,
 wrapped per block by a header carrying magic, version, chain position, next
 block address, per-block payload length and CRCs.
 """
@@ -38,7 +38,6 @@ _HDR = struct.Struct("<4sHHiiHII")      # magic, ver, chain_idx, next_bank,
                                         # payload_crc
 _HDR_CRC = struct.Struct("<I")
 HEADER_BYTES = _HDR.size + _HDR_CRC.size
-_SECT = struct.Struct("<4sII")
 
 
 def window_blocks(geometry, k):
@@ -51,55 +50,46 @@ def window_blocks(geometry, k):
 # ---- table serialization ----------------------------------------------------
 
 def serialize_state(state):
-    g = state.geometry
     bank_rows = []
     for info in state.banks:
         cur = -1 if info.current_block is None else info.current_block
         bank_rows.append((info.free_blocks, info.valid_pages, cur, info.next_page))
     bank_blob = np.asarray(bank_rows, dtype=np.int32).tobytes()
-    sections = [
+    return oob.pack_sections([
         (b"MAPT", state.map.tobytes()),
         (b"FREE", np.packbits(state.free_bits).tobytes()),
         (b"VBIT", np.packbits(state.valid_bits).tobytes()),
         (b"VCNT", state.valid_count.tobytes()),
         (b"BANK", bank_blob),
         (b"SEQC", struct.pack("<Q", state.sequence)),
-    ]
-    out = bytearray()
-    for tag, blob in sections:
-        out += _SECT.pack(tag, len(blob), zlib.crc32(blob) & 0xFFFFFFFF)
-        out += blob
-    return bytes(out)
+    ])
 
 
 def restore_state(state, payload):
     g = state.geometry
-    pos = 0
-    seen = {}
-    while pos < len(payload):
-        tag, length, crc = _SECT.unpack_from(payload, pos)
-        pos += _SECT.size
-        blob = payload[pos:pos + length]
-        pos += length
-        if len(blob) != length or (zlib.crc32(blob) & 0xFFFFFFFF) != crc:
-            raise CheckpointError(f"section {tag!r} corrupt")
-        seen[tag] = blob
-    try:
-        state.map[:] = np.frombuffer(seen[b"MAPT"], dtype=np.uint32)
-        free = np.unpackbits(np.frombuffer(seen[b"FREE"], dtype=np.uint8))
-        state.free_bits[:] = free[:g.num_banks * g.blocks_per_bank].reshape(
-            g.num_banks, g.blocks_per_bank).astype(bool)
-        vbits = np.unpackbits(np.frombuffer(seen[b"VBIT"], dtype=np.uint8))
-        state.valid_bits[:] = vbits[:g.total_blocks * g.pages_per_block].reshape(
-            g.total_blocks, g.pages_per_block).astype(bool)
-        state.valid_count[:] = np.frombuffer(seen[b"VCNT"], dtype=np.int32)
-        rows = np.frombuffer(seen[b"BANK"], dtype=np.int32).reshape(-1, 4)
-        for bank, info in enumerate(state.banks):
-            info.current_block = None if rows[bank, 2] < 0 else int(rows[bank, 2])
-            info.next_page = int(rows[bank, 3])
-        state.sequence_floor(struct.unpack("<Q", seen[b"SEQC"])[0])
-    except KeyError as missing:
-        raise CheckpointError(f"missing section {missing}") from None
+    sizes = {
+        b"MAPT": state.map.nbytes,
+        b"FREE": -(-state.free_bits.size // 8),
+        b"VBIT": -(-state.valid_bits.size // 8),
+        b"VCNT": state.valid_count.nbytes,
+        b"BANK": g.num_banks * 4 * 4,       # four int32 columns per bank
+        b"SEQC": 8,
+    }
+    mapt, free, vbit, vcnt, bank_blob, seqc = oob.unpack_sections(
+        payload, sizes, CheckpointError)
+    state.map[:] = np.frombuffer(mapt, dtype=np.uint32)
+    free = np.unpackbits(np.frombuffer(free, dtype=np.uint8))
+    state.free_bits[:] = free[:g.num_banks * g.blocks_per_bank].reshape(
+        g.num_banks, g.blocks_per_bank).astype(bool)
+    vbits = np.unpackbits(np.frombuffer(vbit, dtype=np.uint8))
+    state.valid_bits[:] = vbits[:g.total_blocks * g.pages_per_block].reshape(
+        g.total_blocks, g.pages_per_block).astype(bool)
+    state.valid_count[:] = np.frombuffer(vcnt, dtype=np.int32)
+    rows = np.frombuffer(bank_blob, dtype=np.int32).reshape(-1, 4)
+    for bank, info in enumerate(state.banks):
+        info.current_block = None if rows[bank, 2] < 0 else int(rows[bank, 2])
+        info.next_page = int(rows[bank, 3])
+    state.sequence_floor(struct.unpack("<Q", seqc)[0])
     state.recount()
 
 

@@ -21,10 +21,6 @@ class BadBlockError(RuntimeError):
     """Operation targeted a block flagged bad."""
 
 
-class BackpressureError(RuntimeError):
-    """A DMA queue or the completion queue is full; caller should retry."""
-
-
 class ExhaustionError(RuntimeError):
     """No free block is available where one was required."""
 

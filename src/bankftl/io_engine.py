@@ -18,9 +18,9 @@ LPN, and the writer that holds it keeps it across the 1 us retry when every
 buffer is mid-transition (`_select_buffer` returns None); other writers of
 that LPN retry meanwhile.
 
-Device backpressure is inherent in the synchronous path (queue occupancy is
-charged as wait time), so no retry/backoff loop is needed here; the raw DMA
-surface keeps its explicit backpressure error for direct users.
+Device backpressure is inherent in the device's one, synchronous request
+path (queue occupancy is charged as wait time), so no retry/backoff loop is
+needed here.
 """
 
 from collections import deque

@@ -1,13 +1,14 @@
 """Simulated multi-bank NAND flash card.
 
 Models the raw card the FTL drives: interfaces (channels) of banks, blocks of
-sequentially-programmable pages with spare bytes, per-interface DMA write and
+sequentially-programmable pages with spare bytes, per-interface write and
 erase queues plus one read queue per two consecutive banks, and a configurable
-latency model. Service time is charged on virtual clocks: each request first
-occupies its DMA queue for a transfer slice, then its bank for an execution
-slice, so requests on different banks overlap while requests sharing a queue
-or a bank serialize. Completions across queues can therefore land out of
-submission order.
+latency model. `write_page`, `read_page` and `erase_block` are the one
+request path: each acts at once and returns a completion descriptor charged
+on virtual clocks. A request first occupies its queue and its interface's bus
+for a transfer slice, then its bank for an execution slice, so requests on
+different banks overlap while requests sharing a queue, bus or bank
+serialize, and can complete out of submission order.
 
 State mutates at request acceptance; timestamps are accounting. Erase resets a
 block to all-ones and pages must be programmed strictly in order, never twice.
@@ -17,19 +18,19 @@ marked bad or loaded from an image; until then it reads as erased, with erase
 count 0. So the paper's full card (card512, 262,144 blocks) builds in
 milliseconds and holds only the blocks a run touches. Erased reads return
 slices of one shared all-ones page and spare per device.
+
+A flash image is the magic `BFTLIMG2` and sections in the checkpoint's
+framing (`oob.pack_sections`). Loading only parses bytes; any malformed image,
+`BFTLIMG1` images of earlier versions included, raises ConfigurationError.
 """
 
-import pickle
+import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
-from .errors import (AddressError, BackpressureError, BadBlockError,
-                     ConfigurationError, OverwriteViolation,
-                     SequencingViolation)
-from .oob import SPARE_BYTES
-
-QUEUE_CAPACITY = 256
-COMPLETION_CAPACITY = 1024
+from . import oob
+from .errors import (AddressError, BadBlockError, ConfigurationError,
+                     OverwriteViolation, SequencingViolation)
 
 
 @dataclass(frozen=True)
@@ -71,9 +72,9 @@ class FlashGeometry:
                 raise ConfigurationError(f"{name} must be positive")
         if self.page_size % self.read_unit != 0:
             raise ConfigurationError("page_size must be a multiple of read_unit")
-        if self.spare_per_page < SPARE_BYTES:
+        if self.spare_per_page < oob.SPARE_BYTES:
             raise ConfigurationError(
-                f"spare_per_page must hold {SPARE_BYTES} metadata bytes")
+                f"spare_per_page must hold {oob.SPARE_BYTES} metadata bytes")
         # the FTL map's unmapped sentinel is the all-ones 31-bit pattern, so
         # every physical page number must stay below it
         if self.total_pages >= (1 << 31) - 1:
@@ -121,25 +122,10 @@ class LatencyModel:
 
 
 @dataclass
-class DmaRequest:
-    kind: str                      # "read" | "write" | "erase"
-    address: PageAddress           # block granularity for erase (page ignored)
-    data: bytes = b""
-    spare: bytes = b""
-    offset: int = 0
-    length: int = None             # reads only; None = whole page, 0 = spare probe
-    want_spare: bool = False
-    request_id: int = -1
-
-
-@dataclass
 class CompletionDescriptor:
     request_id: int
-    status: str
     submit_us: int
     complete_us: int
-    data: bytes = b""
-    spare: bytes = b""
 
     @property
     def service_latency(self):
@@ -153,7 +139,6 @@ class DeviceStats:
     read_units: int = 0
     blocks_erased: int = 0
     requests_accepted: int = 0
-    completions_delivered: int = 0
     wear_events: int = 0
     parity_errors: int = 0
     erase_counts_per_bank: list = field(default_factory=list)
@@ -175,12 +160,10 @@ class _Block:
 
 
 class _Queue:
-    __slots__ = ("name", "free_at", "inflight")
+    __slots__ = ("free_at",)
 
-    def __init__(self, name):
-        self.name = name
+    def __init__(self):
         self.free_at = 0
-        self.inflight = 0
 
 
 class SimFlashDevice:
@@ -198,15 +181,14 @@ class SimFlashDevice:
             self._mark_bad(bank, block)
         # fixed queue map: 1 write + 1 erase queue per interface,
         # 1 read queue per two consecutive banks
-        self.write_queues = [_Queue(f"wq{i}") for i in range(g.num_interfaces)]
-        self.erase_queues = [_Queue(f"eq{i}") for i in range(g.num_interfaces)]
-        self.read_queues = [_Queue(f"rq{i}") for i in range((g.num_banks + 1) // 2)]
+        self.write_queues = [_Queue() for _ in range(g.num_interfaces)]
+        self.erase_queues = [_Queue() for _ in range(g.num_interfaces)]
+        self.read_queues = [_Queue() for _ in range((g.num_banks + 1) // 2)]
         # queues on one interface share that channel's bus bandwidth
         self.bus_free_at = [0] * g.num_interfaces
         self.bank_free_at = [0] * g.num_banks
         self.now_us = 0
         self._next_req_id = 0
-        self._completions = []   # pending async completions, submit order
         self._stats = DeviceStats(erase_counts_per_bank=[0] * g.num_banks)
         self.request_log = None  # list of rows when enabled
 
@@ -233,45 +215,43 @@ class SimFlashDevice:
         self._block(bank, block).is_bad = True
         self._bad_blocks.add((bank, block))
 
-    def _queue_for(self, kind, bank):
-        itf = bank // self.geometry.banks_per_interface
-        if kind == "write":
-            return self.write_queues[itf]
-        if kind == "erase":
-            return self.erase_queues[itf]
-        return self.read_queues[bank // 2]
-
     # ---- timing --------------------------------------------------------
 
-    def _service(self, kind, bank, submit_us, units=1):
+    def _service(self, kind, addr, submit_us, units=1):
+        """Charge an accepted request on the virtual clocks, log it and
+        return its completion descriptor."""
+        if submit_us is None:
+            submit_us = self.now_us
         m = self.model
+        bank = addr.bank
+        itf = bank // self.geometry.banks_per_interface
         if kind == "write":
+            q = self.write_queues[itf]
             transfer, total = m.write_transfer_us, m.write_page_us
         elif kind == "erase":
+            q = self.erase_queues[itf]
             transfer, total = m.erase_transfer_us, m.erase_block_us
         else:
+            q = self.read_queues[bank // 2]
             transfer, total = m.read_transfer_us * units, m.read_unit_us * units
-            units = 1  # already folded in
-        execute = (total * units) - transfer
-        q = self._queue_for(kind, bank)
-        itf = bank // self.geometry.banks_per_interface
         start = max(submit_us, q.free_at, self.bus_free_at[itf])
         transfer_end = start + transfer
         q.free_at = transfer_end
         self.bus_free_at[itf] = transfer_end
         begin = max(transfer_end, self.bank_free_at[bank])
-        done = begin + execute
+        done = begin + total - transfer
         self.bank_free_at[bank] = done
         if done > self.now_us:
             self.now_us = done
-        return done
-
-    def _log(self, req_id, kind, addr, submit_us, complete_us):
+        self._stats.requests_accepted += 1
+        rid = self._next_req_id
+        self._next_req_id += 1
         if self.request_log is not None:
             self.request_log.append(
-                (req_id, kind, addr.bank, addr.block, addr.page, submit_us, complete_us))
+                (rid, kind, bank, addr.block, addr.page, submit_us, done))
+        return CompletionDescriptor(rid, submit_us, done)
 
-    # ---- synchronous convenience path ----------------------------------
+    # ---- requests ------------------------------------------------------
 
     def write_page(self, addr, data, spare=b"", submit_us=None):
         g = self.geometry
@@ -289,21 +269,13 @@ class SimFlashDevice:
         if addr.page > blk.next_writable_page:
             raise SequencingViolation(
                 f"expected page {blk.next_writable_page}, got {addr.page}")
-        if submit_us is None:
-            submit_us = self.now_us
         data = bytes(data)
         blk.pages[addr.page] = data
         blk.spares[addr.page] = bytes(spare)
         blk.crcs[addr.page] = zlib.crc32(data) & 0xFFFFFFFF
         blk.next_writable_page += 1
         self._stats.pages_written += 1
-        self._stats.requests_accepted += 1
-        self._stats.completions_delivered += 1
-        done = self._service("write", addr.bank, submit_us)
-        rid = self._next_req_id
-        self._next_req_id += 1
-        self._log(rid, "write", addr, submit_us, done)
-        return CompletionDescriptor(rid, "ok", submit_us, done)
+        return self._service("write", addr, submit_us)
 
     def read_page(self, addr, offset=0, length=None, want_spare=False,
                   submit_us=None):
@@ -315,8 +287,6 @@ class SimFlashDevice:
             raise AddressError("read window outside page")
         if length % g.read_unit or offset % g.read_unit:
             raise AddressError("reads are read_unit granular")
-        if submit_us is None:
-            submit_us = self.now_us
         blk = self._banks[addr.bank][addr.block]
         stored = None if blk is None else blk.pages[addr.page]
         if stored is None:
@@ -331,13 +301,7 @@ class SimFlashDevice:
         units = max(1, length // g.read_unit)
         self._stats.read_ops += 1
         self._stats.read_units += units
-        self._stats.requests_accepted += 1
-        self._stats.completions_delivered += 1
-        done = self._service("read", addr.bank, submit_us, units)
-        rid = self._next_req_id
-        self._next_req_id += 1
-        self._log(rid, "read", addr, submit_us, done)
-        desc = CompletionDescriptor(rid, "ok", submit_us, done)
+        desc = self._service("read", addr, submit_us, units)
         return data, (spare if want_spare else b""), desc
 
     def erase_block(self, bank, block, submit_us=None):
@@ -345,8 +309,6 @@ class SimFlashDevice:
         blk = self._block(bank, block)
         if blk.is_bad:
             raise BadBlockError(f"bank {bank} block {block} is bad")
-        if submit_us is None:
-            submit_us = self.now_us
         n = self.geometry.pages_per_block
         blk.pages = [None] * n
         blk.spares = [None] * n
@@ -359,53 +321,7 @@ class SimFlashDevice:
             self._stats.wear_flagged_blocks.append((bank, block))
         self._stats.blocks_erased += 1
         self._stats.erase_counts_per_bank[bank] += 1
-        self._stats.requests_accepted += 1
-        self._stats.completions_delivered += 1
-        done = self._service("erase", bank, submit_us)
-        rid = self._next_req_id
-        self._next_req_id += 1
-        self._log(rid, "erase", PageAddress(bank, block, 0), submit_us, done)
-        return CompletionDescriptor(rid, "ok", submit_us, done)
-
-    # ---- DMA queue path --------------------------------------------------
-
-    def submit_dma(self, req, submit_us=None):
-        q = self._queue_for(req.kind, req.address.bank)
-        if q.inflight >= QUEUE_CAPACITY:
-            raise BackpressureError(f"{q.name} holds {QUEUE_CAPACITY} requests")
-        if len(self._completions) >= COMPLETION_CAPACITY:
-            raise BackpressureError("completion queue full")
-        # completions_delivered is bumped at poll time on this path
-        delivered_fixup = self._stats.completions_delivered
-        if req.kind == "write":
-            desc = self.write_page(req.address, req.data, req.spare, submit_us)
-        elif req.kind == "erase":
-            desc = self.erase_block(req.address.bank, req.address.block, submit_us)
-        elif req.kind == "read":
-            data, spare, desc = self.read_page(
-                req.address, req.offset, req.length, req.want_spare, submit_us)
-            desc.data, desc.spare = data, spare
-        else:
-            raise ConfigurationError(f"unknown DMA kind {req.kind!r}")
-        self._stats.completions_delivered = delivered_fixup
-        req.request_id = desc.request_id
-        q.inflight += 1
-        self._completions.append((desc.complete_us, desc.request_id, q, desc))
-        return desc.request_id
-
-    def poll_completions(self, max_count=None, now_us=None):
-        ready = [c for c in self._completions
-                 if now_us is None or c[0] <= now_us]
-        ready.sort(key=lambda c: (c[0], c[1]))
-        if max_count is not None:
-            ready = ready[:max_count]
-        delivered = {c[1] for c in ready}
-        self._completions = [c for c in self._completions
-                             if c[1] not in delivered]
-        for _, _, q, _ in ready:
-            q.inflight -= 1
-        self._stats.completions_delivered += len(ready)
-        return [c[3] for c in ready]
+        return self._service("erase", PageAddress(bank, block, 0), submit_us)
 
     # ---- introspection ---------------------------------------------------
 
@@ -459,54 +375,105 @@ class SimFlashDevice:
 
     # ---- persistence ------------------------------------------------------
 
-    IMAGE_MAGIC = b"BFTLIMG1"
+    IMAGE_MAGIC = b"BFTLIMG2"
 
     def save_image(self, path):
+        s = self._stats
+        blocks = bytearray()
+        for bank, row in enumerate(self._banks):
+            for block, blk in enumerate(row):
+                if blk is None:
+                    continue
+                n = blk.next_writable_page
+                blocks += _BLOCK.pack(bank, block, blk.erase_count, n,
+                                      blk.is_bad, blk.wear_flagged)
+                for page, spare in zip(blk.pages[:n], blk.spares[:n]):
+                    blocks += page + _SPARE_LEN.pack(len(spare)) + spare
+        counters = [self.now_us, *(getattr(s, k) for k in _COUNTERS),
+                    *s.erase_counts_per_bank]
+        profile = profile_dict(self.geometry, self.model, sorted(self._bad_blocks))
         with open(path, "wb") as fh:
             fh.write(self.IMAGE_MAGIC)
-            blocks = {}
-            for bank, row in enumerate(self._banks):
-                for block, blk in enumerate(row):
-                    if blk is not None and (blk.next_writable_page or blk.erase_count
-                                            or blk.is_bad or blk.wear_flagged):
-                        blocks[(bank, block)] = (
-                            blk.erase_count, blk.next_writable_page, blk.is_bad,
-                            blk.wear_flagged,
-                            blk.pages[:blk.next_writable_page],
-                            blk.spares[:blk.next_writable_page],
-                        )
-            payload = {
-                "profile": profile_dict(self.geometry, self.model,
-                                        sorted(self.bad_block_set())),
-                "blocks": blocks,
-                "stats": self._stats.__dict__,
-                "now_us": self.now_us,
-            }
-            pickle.dump(payload, fh, protocol=4)
+            fh.write(oob.pack_sections([
+                (b"PROF", _profile_text(profile).encode()),
+                (b"CNTR", struct.pack(f"<{len(counters)}Q", *counters)),
+                (b"WEAR", b"".join(_PAIR.pack(*p) for p in s.wear_flagged_blocks)),
+                (b"BLKS", blocks),
+            ]))
 
     @classmethod
     def load_image(cls, path):
+        """Rebuild a device from a `save_image` file; anything else raises
+        ConfigurationError naming `path`."""
         with open(path, "rb") as fh:
-            magic = fh.read(len(cls.IMAGE_MAGIC))
-            if magic != cls.IMAGE_MAGIC:
-                raise ConfigurationError(f"{path} is not a flash image")
-            payload = pickle.load(fh)
-        geometry, model, bad = parse_profile(payload["profile"])
-        dev = cls(geometry, model, bad)
-        for (bank, block), row in payload["blocks"].items():
+            raw = fh.read()
+        magic = cls.IMAGE_MAGIC
+        if raw[:len(magic)] != magic:
+            raise ConfigurationError(f"{path} is not a {magic.decode()} flash image")
+        try:
+            return cls._from_sections(memoryview(raw)[len(magic):])
+        except (ValueError, KeyError, struct.error) as exc:
+            raise ConfigurationError(f"{path}: malformed flash image: {exc}") from None
+
+    @classmethod
+    def _from_sections(cls, payload):
+        prof, cntr, wear, blks = oob.unpack_sections(payload, _SECTIONS,
+                                                     ValueError)
+        dev = cls(*parse_profile(_profile_fields(str(prof, "utf-8").splitlines())))
+        g = dev.geometry
+        k = len(_COUNTERS)
+        counters = struct.unpack(f"<{1 + k + g.num_banks}Q", cntr)
+        flagged = list(_PAIR.iter_unpack(wear))
+        for bank, block in flagged:
+            dev._check_block(bank, block)
+        dev.now_us = counters[0]
+        dev._stats = DeviceStats(**dict(zip(_COUNTERS, counters[1:1 + k])),
+                                 erase_counts_per_bank=list(counters[1 + k:]),
+                                 wear_flagged_blocks=flagged)
+        pos = 0
+
+        def take(n):
+            nonlocal pos
+            chunk = bytes(blks[pos:pos + n])
+            if len(chunk) != n:
+                raise ValueError("block records truncated")
+            pos += n
+            return chunk
+
+        stored = set()
+        while pos < len(blks):
+            bank, block, erases, prefix, bad, worn = _BLOCK.unpack(take(_BLOCK.size))
+            dev._check_block(bank, block)
+            if (bank, block) in stored:
+                raise ValueError(f"bank {bank} block {block} stored twice")
+            if prefix > g.pages_per_block:
+                raise ValueError(f"bank {bank} block {block} has {prefix} pages")
+            stored.add((bank, block))
             blk = dev._block(bank, block)
-            (blk.erase_count, blk.next_writable_page, blk.is_bad,
-             blk.wear_flagged, pages, spares) = row
+            blk.erase_count, blk.next_writable_page = erases, prefix
+            blk.is_bad, blk.wear_flagged = bool(bad), bool(worn)
             if blk.is_bad:
                 dev._bad_blocks.add((bank, block))
-            for i, page in enumerate(pages):
-                blk.pages[i] = page
-                blk.spares[i] = spares[i]
-                if page is not None:
-                    blk.crcs[i] = zlib.crc32(page) & 0xFFFFFFFF
-        dev._stats = DeviceStats(**payload["stats"])
-        dev.now_us = payload["now_us"]
+            for i in range(prefix):
+                page = take(g.page_size)
+                (n,) = _SPARE_LEN.unpack(take(_SPARE_LEN.size))
+                if n > g.spare_per_page:
+                    raise ValueError(f"bank {bank} block {block} page {i} "
+                                     f"has a {n}-byte spare")
+                blk.pages[i], blk.spares[i] = page, take(n)
+                blk.crcs[i] = zlib.crc32(page) & 0xFFFFFFFF
         return dev
+
+
+# flash image sections: the profile text; the clock, the device counters and
+# the per-bank erase counts; the wear-flagged blocks in flagging order; per
+# stored block its bank, block, erase count, written prefix, bad and wear
+# flags, then each page followed by its length-prefixed spare
+_SECTIONS = dict.fromkeys((b"PROF", b"CNTR", b"WEAR", b"BLKS"))
+_COUNTERS = tuple(f.name for f in fields(DeviceStats) if f.type is int)
+_BLOCK = struct.Struct("<IIIIBB")
+_SPARE_LEN = struct.Struct("<I")
+_PAIR = struct.Struct("<QQ")
 
 
 # ---- device profiles (text key-value) -------------------------------------
@@ -538,22 +505,29 @@ def parse_profile(d):
     return geometry.validate(), model.validate(), bad
 
 
-def load_profile(path):
+def _profile_fields(lines):
     d = {}
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, _, value = line.partition("=")
+        d[key.strip()] = value.strip()
+    return d
+
+
+def _profile_text(d):
+    return "".join(f"{k} = {v}\n" for k, v in d.items())
+
+
+def load_profile(path):
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            d[key.strip()] = value.strip()
-    return parse_profile(d)
+        return parse_profile(_profile_fields(fh))
 
 
 def save_profile(path, geometry, model, bad_blocks=()):
     with open(path, "w") as fh:
-        for k, v in profile_dict(geometry, model, bad_blocks).items():
-            fh.write(f"{k} = {v}\n")
+        fh.write(_profile_text(profile_dict(geometry, model, bad_blocks)))
 
 
 # Shipped profiles: the full 512GB production card and desk-scale variants. Desk profiles keep

@@ -3,12 +3,14 @@ import random
 import numpy as np
 import pytest
 
+from bankftl import checkpoint
 from bankftl.checkpoint import (Checkpointer, restore_state, serialize_state,
                                 window_blocks)
 from bankftl.errors import CheckpointError
 from bankftl.ftl_state import UNMAPPED, FtlState
 from bankftl.oob import (LPN_NONE, SPARE_BYTES, TYPE_CHECKPOINT, TYPE_DATA,
-                         decode_spare, encode_spare)
+                         decode_spare, encode_spare, pack_sections,
+                         unpack_sections)
 from bankftl.sched import Scheduler
 from bankftl.sim_flash import PageAddress, SimFlashDevice
 
@@ -81,6 +83,68 @@ def test_restore_rejects_corruption():
     blob[20] ^= 0xFF
     with pytest.raises(CheckpointError):
         restore_state(state, bytes(blob))
+
+
+CKPT_TAGS = dict.fromkeys((b"MAPT", b"FREE", b"VBIT", b"VCNT", b"BANK", b"SEQC"))
+
+
+def _reframe(payload, extra=(), drop=(), resize=None):
+    """Re-frame a good payload with CRC-valid changes: extra sections, a
+    dropped tag, or one section a byte shorter (-1) or longer (+1)."""
+    sections = dict(zip(CKPT_TAGS, unpack_sections(payload, CKPT_TAGS,
+                                                   AssertionError)))
+    for tag in drop:
+        del sections[tag]
+    if resize is not None:
+        tag, delta = resize
+        blob = sections[tag]
+        sections[tag] = blob[:-1] if delta < 0 else blob + b"\x00"
+    return pack_sections(list(sections.items()) + list(extra))
+
+
+MALFORMED_PAYLOADS = {
+    "trailing-partial-header": lambda p: p + b"xy",
+    "repeated-tag": lambda p: _reframe(p, extra=[(b"SEQC", bytes(8))]),
+    "unknown-tag": lambda p: _reframe(p, extra=[(b"XTRA", b"")]),
+    "missing-tag": lambda p: _reframe(p, drop=[b"VCNT"]),
+    **{f"{tag.decode()}{delta:+d}": (lambda p, r=(tag, delta): _reframe(p, resize=r))
+       for tag in CKPT_TAGS for delta in (-1, 1)},
+}
+
+
+@pytest.mark.parametrize("corrupt", MALFORMED_PAYLOADS.values(),
+                         ids=MALFORMED_PAYLOADS.keys())
+def test_restore_rejects_malformed_payload(corrupt):
+    _, _, state, _ = fresh_pair()
+    state.map[3] = 17
+    payload = serialize_state(state)
+    _, _, other, _ = fresh_pair()
+    with pytest.raises(CheckpointError):
+        restore_state(other, corrupt(payload))
+    restore_state(other, payload)
+    assert tables_equal(state, other)
+
+
+@pytest.mark.parametrize("corrupt", [MALFORMED_PAYLOADS["trailing-partial-header"],
+                                     MALFORMED_PAYLOADS["MAPT-1"]],
+                         ids=["trailing-partial-header", "MAPT-1"])
+def test_malformed_chain_falls_back_to_recovery_scan(tmp_path, monkeypatch,
+                                                     corrupt):
+    image = str(tmp_path / "flash.img")
+    eng = tiny_engine(image_path=image)
+    data = {lpn * SPP: sector_payload(lpn, TINY.read_unit) for lpn in (0, 5, 9)}
+    for lsn, payload in data.items():
+        eng.write_sector(lsn, payload)
+    good = checkpoint.serialize_state
+    monkeypatch.setattr(checkpoint, "serialize_state",
+                        lambda state: corrupt(good(state)))
+    assert eng.shutdown(clean=True) is not None    # the chain was written
+    monkeypatch.undo()
+    eng = tiny_engine(image_path=image)
+    assert eng.recovered_via == "recovery_scan"
+    for lsn, payload in data.items():
+        assert eng.read_sector(lsn) == payload
+    eng.shutdown(clean=False)
 
 
 def test_save_load_roundtrip_with_windowed_probes():

@@ -1,15 +1,17 @@
+import pickle
 import random
+import re
+import struct
 import tracemalloc
 
 import pytest
 
-from bankftl.errors import (AddressError, BackpressureError, BadBlockError,
-                            ConfigurationError, OverwriteViolation,
-                            SequencingViolation)
-from bankftl.sim_flash import (PROFILES, DmaRequest, FlashGeometry,
-                               LatencyModel, PageAddress, SimFlashDevice,
-                               load_profile, parse_profile, profile_dict,
-                               save_profile)
+from bankftl.errors import (AddressError, BadBlockError, ConfigurationError,
+                            OverwriteViolation, SequencingViolation)
+from bankftl.oob import pack_sections, unpack_sections
+from bankftl.sim_flash import (PROFILES, FlashGeometry, LatencyModel,
+                               PageAddress, SimFlashDevice, load_profile,
+                               parse_profile, profile_dict, save_profile)
 
 from conftest import TINY, tiny_device
 
@@ -125,86 +127,28 @@ def test_dma_parallel_banks_overlap():
     dev = tiny_device()
     single = LatencyModel().write_page_us
     # banks 0 and 2 sit on different interfaces in the tiny profile
-    r1 = DmaRequest("write", PageAddress(0, 0, 0), data=page_of(1))
-    r2 = DmaRequest("write", PageAddress(2, 0, 0), data=page_of(2))
-    dev.submit_dma(r1, submit_us=0)
-    dev.submit_dma(r2, submit_us=0)
-    done = dev.poll_completions()
-    assert {d.request_id for d in done} == {r1.request_id, r2.request_id}
-    assert max(d.complete_us for d in done) < 2 * single
+    d1 = dev.write_page(PageAddress(0, 0, 0), page_of(1), submit_us=0)
+    d2 = dev.write_page(PageAddress(2, 0, 0), page_of(2), submit_us=0)
+    assert d1.request_id != d2.request_id
+    assert d1.complete_us == d2.complete_us == single
 
 
 def test_dma_same_bank_serializes():
     dev = tiny_device()
     m = LatencyModel()
-    dev.submit_dma(DmaRequest("write", PageAddress(0, 0, 0), data=page_of(1)), submit_us=0)
-    dev.submit_dma(DmaRequest("write", PageAddress(0, 0, 1), data=page_of(2)), submit_us=0)
-    done = dev.poll_completions()
+    dev.write_page(PageAddress(0, 0, 0), page_of(1), submit_us=0)
+    d = dev.write_page(PageAddress(0, 0, 1), page_of(2), submit_us=0)
     # executions on one bank serialize; only the transfer slice pipelines
-    assert max(d.complete_us for d in done) == 2 * m.write_page_us - m.write_transfer_us
+    assert d.complete_us == 2 * m.write_page_us - m.write_transfer_us
 
 
-def test_dma_backpressure_at_queue_capacity():
+def test_queues_of_one_interface_share_its_bus():
     dev = tiny_device()
-    for page in range(TINY.pages_per_block):
-        for block in range(TINY.blocks_per_bank):
-            if dev._queue_for("write", 0).inflight >= 256:
-                break
-            dev.submit_dma(DmaRequest("write", PageAddress(0, block, page),
-                                      data=page_of(1)), submit_us=0)
-    assert dev._queue_for("write", 0).inflight == 128  # tiny card fills first
-    dev2 = SimFlashDevice(FlashGeometry(1, 1, 64, 8, 1024, 32, 256))
-    submitted = 0
-    with pytest.raises(BackpressureError):
-        for block in range(64):
-            for page in range(8):
-                dev2.submit_dma(DmaRequest("write", PageAddress(0, block, page),
-                                           data=b"\x01" * 1024), submit_us=0)
-                submitted += 1
-    assert submitted == 256
-    dev2.poll_completions(max_count=10)
-    dev2.submit_dma(DmaRequest("write", PageAddress(0, 62, 0),
-                               data=b"\x02" * 1024), submit_us=0)
-
-
-def test_single_request_single_completion():
-    dev = tiny_device()
-    req = DmaRequest("read", PageAddress(0, 0, 0), length=256)
-    rid = dev.submit_dma(req)
-    done = dev.poll_completions()
-    assert len(done) == 1
-    assert done[0].request_id == rid
-    assert done[0].data == b"\xff" * 256
-
-
-def test_completion_conservation_random_ops():
-    rng = random.Random(11)
-    dev = tiny_device()
-    ids = set()
-    next_page = {}
-    for _ in range(300):
-        bank = rng.randrange(TINY.num_banks)
-        block = rng.randrange(TINY.blocks_per_bank)
-        key = (bank, block)
-        kind = rng.choice(["write", "read", "erase"])
-        if kind == "write":
-            page = next_page.get(key, 0)
-            if page >= TINY.pages_per_block:
-                continue
-            req = DmaRequest("write", PageAddress(bank, block, page), data=page_of(7))
-            next_page[key] = page + 1
-        elif kind == "erase":
-            req = DmaRequest("erase", PageAddress(bank, block, 0))
-            next_page[key] = 0
-        else:
-            req = DmaRequest("read", PageAddress(bank, block, 0), length=256)
-        ids.add(dev.submit_dma(req))
-        if rng.random() < 0.2:
-            for d in dev.poll_completions(max_count=5):
-                ids.discard(d.request_id)
-    for d in dev.poll_completions():
-        ids.discard(d.request_id)
-    assert ids == set()
+    m = LatencyModel()
+    # banks 0 and 1: interface 0, separate write and erase queues
+    dev.write_page(PageAddress(0, 0, 0), page_of(1), submit_us=0)
+    d = dev.erase_block(1, 0, submit_us=0)
+    assert d.complete_us == m.write_transfer_us + m.erase_block_us
 
 
 def test_parallel_speedup_property():
@@ -460,12 +404,34 @@ def test_card512_image_roundtrip(tmp_path):
         copy.write_page(PageAddress(63, 4095, 1), b"\x01" * CARD.page_size)
 
 
-def test_poll_delivers_out_of_order_completions_in_order():
+def clock_oracle(geometry, model, requests):
+    """Completion times of (kind, bank, submit_us) requests, issued in order:
+    a transfer holds the request's queue and its interface's bus, then the
+    execution holds its bank. Reads here are one read unit."""
+    slices = {"write": (model.write_transfer_us, model.write_page_us),
+              "erase": (model.erase_transfer_us, model.erase_block_us),
+              "read": (model.read_transfer_us, model.read_unit_us)}
+    free = {}
+    done = []
+    for kind, bank, submit in requests:
+        itf = bank // geometry.banks_per_interface
+        queue = ("rq", bank // 2) if kind == "read" else (kind, itf)
+        transfer, total = slices[kind]
+        start = max(submit, free.get(queue, 0), free.get(("bus", itf), 0))
+        free[queue] = free[("bus", itf)] = start + transfer
+        end = max(start + transfer, free.get(("bank", bank), 0)) + total - transfer
+        free[("bank", bank)] = end
+        done.append(end)
+    return done
+
+
+def test_out_of_order_completions_match_clock_oracle():
     rng = random.Random(29)
     dev = SimFlashDevice(PROFILES["desk8"])
     dev.enable_request_log()
     g = dev.geometry
     next_page = {}
+    issued = []
     for _ in range(400):
         bank = rng.randrange(g.num_banks)
         block = rng.randrange(8)
@@ -474,31 +440,121 @@ def test_poll_delivers_out_of_order_completions_in_order():
         if kind == "write" and next_page.get((bank, block), 0) < g.pages_per_block:
             page = next_page.get((bank, block), 0)
             next_page[(bank, block)] = page + 1
-            req = DmaRequest("write", PageAddress(bank, block, page),
-                             data=b"\x03" * g.page_size)
+            dev.write_page(PageAddress(bank, block, page), b"\x03" * g.page_size,
+                           submit_us=submit)
         elif kind == "erase":
             next_page[(bank, block)] = 0
-            req = DmaRequest("erase", PageAddress(bank, block, 0))
+            dev.erase_block(bank, block, submit_us=submit)
         else:
-            req = DmaRequest("read", PageAddress(bank, block, 0), length=g.read_unit)
-        dev.submit_dma(req, submit_us=submit)
-    pending = {row[0]: row[6] for row in dev.request_log}
-    assert len(pending) == 400
-    inflight = lambda: sum(q.inflight for q in
-                           dev.write_queues + dev.erase_queues + dev.read_queues)
-    assert inflight() == 400
-    delivered = 0
-    for max_count, now_us in ((50, 100_000), (None, 150_000), (7, None),
-                              (0, None), (None, None)):
-        ready = sorted((c, rid) for rid, c in pending.items()
-                       if now_us is None or c <= now_us)
-        want = ready if max_count is None else ready[:max_count]
-        got = dev.poll_completions(max_count=max_count, now_us=now_us)
-        assert [(d.complete_us, d.request_id) for d in got] == want
-        for _, rid in want:
-            del pending[rid]
-        delivered += len(want)
-        assert inflight() == len(pending)
-        assert dev.device_stats().completions_delivered == delivered
-    assert delivered == 400 and not pending
-    assert dev.poll_completions() == []
+            kind = "read"
+            dev.read_page(PageAddress(bank, block, 0), length=g.read_unit,
+                          submit_us=submit)
+        issued.append((kind, bank, submit))
+    log = dev.request_log
+    assert [(row[1], row[2], row[5]) for row in log] == issued
+    assert [row[6] for row in log] == clock_oracle(g, dev.model, issued)
+    by_completion = sorted(log, key=lambda row: (row[6], row[0]))
+    assert [row[0] for row in by_completion] != [row[0] for row in log]
+
+
+# ---- flash images are parsed, never executed ---------------------------------
+
+IMAGE_TAGS = dict.fromkeys((b"PROF", b"CNTR", b"WEAR", b"BLKS"))
+RECORD = struct.Struct("<IIIIBB")  # bank, block, erases, prefix, bad, worn
+CANARY = []
+
+
+def _trip_canary():
+    CANARY.append("ran")
+
+
+class _Exploit:
+    def __reduce__(self):
+        return _trip_canary, ()
+
+
+def test_pickled_image_is_rejected_without_running_code(tmp_path):
+    path = tmp_path / "old.img"
+    path.write_bytes(b"BFTLIMG1" + pickle.dumps(_Exploit(), protocol=4))
+    with pytest.raises(ConfigurationError, match=re.escape(str(path))):
+        SimFlashDevice.load_image(path)
+    assert CANARY == []
+
+
+def test_image_roundtrip_keeps_wear_flags_and_clock(tmp_path):
+    dev = SimFlashDevice(FlashGeometry(1, 2, 4, 4, 1024, 32, 256,
+                                       erase_cycles_limit=2))
+    for _ in range(3):
+        dev.erase_block(1, 2)
+    dev.write_page(PageAddress(1, 2, 0), b"\x04" * 1024, submit_us=50_000)
+    path = tmp_path / "worn.img"
+    dev.save_image(path)
+    copy = SimFlashDevice.load_image(path)
+    assert copy.device_stats() == dev.device_stats()
+    assert copy.device_stats().wear_flagged_blocks == [(1, 2)]
+    assert copy.block_state(1, 2) == dev.block_state(1, 2) == (3, 1, False, True)
+    assert copy.now_us == dev.now_us
+
+
+def _resection(raw, drop=(), extra=(), **blobs):
+    """Re-frame a good image with sections replaced, dropped or added."""
+    sections = dict(zip(IMAGE_TAGS, unpack_sections(raw[8:], IMAGE_TAGS,
+                                                    AssertionError)))
+    sections.update({tag.encode(): blob for tag, blob in blobs.items()})
+    for tag in drop:
+        del sections[tag]
+    return raw[:8] + pack_sections(list(sections.items()) + list(extra))
+
+
+def _record(bank, block, pages, spare=b"sp"):
+    out = RECORD.pack(bank, block, 0, len(pages), 0, 0)
+    for page in pages:
+        out += page + struct.pack("<I", len(spare)) + spare
+    return out
+
+
+MALFORMED_IMAGES = {
+    "bad-magic": lambda raw: b"NOTANIMG" + raw[8:],
+    "truncated": lambda raw: raw[:len(raw) // 2],
+    "crc-mismatch": lambda raw: raw[:-1] + bytes([raw[-1] ^ 1]),
+    "missing-section": lambda raw: _resection(raw, drop=[b"WEAR"]),
+    "repeated-section": lambda raw: _resection(raw, extra=[(b"WEAR", b"")]),
+    "unknown-section": lambda raw: _resection(raw, extra=[(b"XTRA", b"")]),
+    "profile-missing-keys": lambda raw: _resection(raw, PROF=b"page_size = 2048\n"),
+    "profile-invalid": lambda raw: _resection(raw, PROF="".join(
+        f"{k} = {1000 if k == 'page_size' else v}\n"
+        for k, v in profile_dict(TINY, LatencyModel()).items()).encode()),
+    "short-counters": lambda raw: _resection(raw, CNTR=bytes(8)),
+    "wear-out-of-range": lambda raw: _resection(
+        raw, WEAR=struct.pack("<2Q", TINY.num_banks, 0)),
+    "bank-out-of-range": lambda raw: _resection(
+        raw, BLKS=_record(TINY.num_banks, 0, [page_of(1)])),
+    "block-out-of-range": lambda raw: _resection(
+        raw, BLKS=_record(0, TINY.blocks_per_bank, [page_of(1)])),
+    "header-truncated": lambda raw: _resection(
+        raw, BLKS=_record(0, 0, [])[:RECORD.size - 1]),
+    "page-truncated": lambda raw: _resection(
+        raw, BLKS=_record(0, 0, [page_of(1)])[:RECORD.size + PAGE - 1]),
+    "long-spare": lambda raw: _resection(
+        raw, BLKS=_record(0, 0, [page_of(1)], b"s" * (TINY.spare_per_page + 1))),
+    "prefix-over-block": lambda raw: _resection(
+        raw, BLKS=_record(0, 0, [page_of(1)] * (TINY.pages_per_block + 1))),
+    "spare-truncated": lambda raw: _resection(
+        raw, BLKS=_record(0, 0, [page_of(1)])[:-1]),
+    "block-stored-twice": lambda raw: _resection(raw, BLKS=_record(0, 0, []) * 2),
+}
+
+
+@pytest.mark.parametrize("corrupt", MALFORMED_IMAGES.values(),
+                         ids=MALFORMED_IMAGES.keys())
+def test_malformed_image_rejected(tmp_path, corrupt):
+    dev = tiny_device(bad_blocks=[(1, 1)])
+    dev.write_page(PageAddress(0, 0, 0), page_of(5), b"sp")
+    dev.erase_block(0, 1)
+    good = tmp_path / "good.img"
+    dev.save_image(good)
+    assert SimFlashDevice.load_image(good).device_stats() == dev.device_stats()
+    path = tmp_path / "bad.img"
+    path.write_bytes(corrupt(good.read_bytes()))
+    with pytest.raises(ConfigurationError, match=re.escape(str(path))):
+        SimFlashDevice.load_image(path)
