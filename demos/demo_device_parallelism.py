@@ -2,8 +2,9 @@
 """Raw card parallelism: bank-level overlap, shared queues, shared channels.
 
 Writes to banks on different interfaces overlap almost perfectly; writes to
-one bank serialize; reads to two banks that share one read queue serialize
-harder than reads to banks that do not. Every request below is submitted at
+one bank serialize; reads to two banks that share one read queue (and, on
+this card, one interface bus) serialize harder than reads to banks that do
+not. Every request below is submitted at
 virtual time 0, so each completion time shows how long the card took.
 """
 
@@ -14,8 +15,8 @@ g = dev.geometry
 page = b"\xab" * g.page_size
 print(f"desk8 card: {g.num_interfaces} interfaces x {g.banks_per_interface} banks, "
       f"{g.blocks_per_bank} blocks of {g.pages_per_block} x {g.page_size}B pages")
-print(f"queues: {len(dev.write_queues)} write, {len(dev.erase_queues)} erase, "
-      f"{len(dev.read_queues)} read (one per two banks)\n")
+print(f"{len(dev.bus_free_at)} interface buses, {len(dev.read_queues)} read queues "
+      f"(one per two banks)\n")
 
 # one write alone
 d = dev.write_page(PageAddress(0, 0, 0), page, submit_us=0)

@@ -30,6 +30,7 @@ from . import oob
 from .errors import (AddressError, ConfigurationError, EngineStateError,
                      ExhaustionError)
 from .ftl_state import UNMAPPED
+from .sched import Event
 
 
 @dataclass
@@ -66,17 +67,26 @@ class EngineParams:
         return params
 
 
-class IoRequest:
-    __slots__ = ("kind", "lsn", "data", "submit_us", "done", "result", "error")
+class IoRequest(Event):
+    """A request is its own completion event: the worker fires it, and
+    `done` names it for callers that wait. It fires with no value, so a
+    completed request holds no reference to itself and is freed as soon as
+    its last holder drops it. A request is submitted once."""
+
+    __slots__ = ("kind", "lsn", "data", "submit_us", "result", "error")
 
     def __init__(self, kind, lsn, data=b""):
+        Event.__init__(self, None)        # bound to a scheduler by submit
         self.kind = kind
         self.lsn = lsn
         self.data = data
         self.submit_us = None
-        self.done = None
         self.result = None
         self.error = None
+
+    @property
+    def done(self):
+        return self
 
 
 class BufferSlot:
@@ -157,8 +167,8 @@ class IoEngine:
             raise EngineStateError("engine is not serving")
         if not (0 <= req.lsn < self.num_sectors):
             raise AddressError(f"sector {req.lsn} outside exported capacity")
+        req._sched = self.sched
         req.submit_us = self.sched.now
-        req.done = self.sched.event()
         qi = self._dispatch(req)
         self.queues[qi].append(req)
         wake = self._wake[qi]
@@ -171,14 +181,15 @@ class IoEngine:
 
     def worker_loop(self, qi):
         queue = self.queues[qi]
+        wake = self.sched.event()
         while True:
             if not queue:
                 if not self.running:
                     return
                 self.active_workers -= 1
-                ev = self.sched.event()
-                self._wake[qi] = ev
-                yield ev
+                wake.fired = False            # re-arm; submit or stop fires it
+                self._wake[qi] = wake
+                yield wake
                 self.active_workers += 1
                 continue
             req = queue.popleft()
@@ -201,7 +212,7 @@ class IoEngine:
                 self.error_log.append((self.sched.now, req.kind, req.lsn, repr(exc)))
             self.last_work_us[qi] = self.sched.now
             self._busy[qi] = False
-            req.done.fire(req)
+            req.fire()
 
     # ---- write path -----------------------------------------------------------
 

@@ -5,11 +5,24 @@ as cooperative actors (generators) on one Scheduler. An actor yields either
 a non-negative delay in microseconds or an Event to park on. Time is integer
 microseconds; ties are broken by submission order, so a fixed seed plus a
 fixed workload gives bit-identical runs.
+
+Runnable actors wait in two places. A FIFO `deque` holds those due now: new
+actors, zero-delay yields and the waiters of a fired event. A heap of
+`(time, sequence, actor)` holds those due later. Every heap entry due at
+`now` was pushed before `now` reached that time, so it is older than all of
+the FIFO: a heap entry due at `now` runs first, then the FIFO, then the heap
+moves time forward. When an actor yields and nothing else is due at or
+before its resume time (the FIFO is empty and the heap is empty or its head
+is strictly later), it would be the next to run anyway, so it is resumed in
+place, with no heap push or pop. Either way the order is that of one heap
+ordered by time and submission, and `events_processed` counts every
+resumption.
 """
 
 import heapq
 import itertools
 import random
+from collections import deque
 
 
 class SchedulerHang(RuntimeError):
@@ -39,9 +52,9 @@ class Event:
             return
         self.fired = True
         self.value = value
-        waiters, self._waiters = self._waiters, []
-        for actor in waiters:
-            self._sched._schedule(actor, self._sched.now)
+        if self._waiters:
+            self._sched._ready.extend(self._waiters)
+            self._waiters = []
 
 
 class Actor:
@@ -60,13 +73,23 @@ class Actor:
         return f"<Actor {self.name} {state}>"
 
 
+class _Idle:
+    """The event `run_until_idle` runs towards: it never fires."""
+
+    __slots__ = ()
+    fired = False
+
+
+_IDLE = _Idle()
+
+
 class Scheduler:
     def __init__(self, seed=0):
         self.now = 0
         self.rng = random.Random(seed)
         self._heap = []
+        self._ready = deque()
         self._seq = itertools.count()
-        self._live = 0
         self.events_processed = 0
 
     def event(self):
@@ -74,64 +97,81 @@ class Scheduler:
 
     def spawn(self, gen, name="actor"):
         actor = Actor(self, gen, name)
-        self._live += 1
-        self._schedule(actor, self.now)
+        self._ready.append(actor)
         return actor
 
     def _schedule(self, actor, at):
-        heapq.heappush(self._heap, (at, next(self._seq), actor))
-
-    def _step(self):
-        at, _, actor = heapq.heappop(self._heap)
-        if at > self.now:
-            self.now = at
-        self.events_processed += 1
-        try:
-            yielded = actor.gen.send(None)
-        except StopIteration as stop:
-            actor.done = True
-            actor.result = stop.value
-            self._live -= 1
-            actor.done_event.fire(stop.value)
-            return
-        except Exception as exc:
-            actor.done = True
-            actor.error = exc
-            self._live -= 1
-            actor.done_event.fire(None)
-            raise ActorFailed(actor, exc) from exc
-        if isinstance(yielded, Event):
-            if yielded.fired:
-                self._schedule(actor, self.now)
-            else:
-                yielded._waiters.append(actor)
+        if at <= self.now:
+            self._ready.append(actor)
         else:
-            # numeric delay in microseconds
-            delay = int(yielded)
-            if delay < 0:
-                delay = 0
-            self._schedule(actor, self.now + delay)
+            heapq.heappush(self._heap, (at, next(self._seq), actor))
+
+    def _finish(self, actor, result=None, error=None):
+        actor.done = True
+        actor.result = result
+        actor.error = error
+        actor.done_event.fire(result)
+
+    def _run(self, event, max_events):
+        """The one step loop: resume actors until `event` fires."""
+        heap = self._heap
+        ready = self._ready
+        heappop = heapq.heappop
+        budget = max_events
+        now = self.now
+        while not event.fired:
+            if not heap and not ready:
+                if event is _IDLE:
+                    return None
+                raise SchedulerHang(
+                    f"no runnable actors at t={now}us but event never fired")
+            if budget <= 0:
+                raise SchedulerHang(f"event budget exhausted at t={now}us")
+            if heap and heap[0][0] <= now:
+                actor = heappop(heap)[2]
+            elif ready:
+                actor = ready.popleft()
+            else:
+                now, _, actor = heappop(heap)
+                self.now = now
+            send = actor.gen.send
+            while True:
+                budget -= 1
+                self.events_processed += 1
+                try:
+                    yielded = send(None)
+                except StopIteration as stop:
+                    self._finish(actor, stop.value)
+                    break
+                except Exception as exc:
+                    self._finish(actor, error=exc)
+                    raise ActorFailed(actor, exc) from exc
+                if type(yielded) is int:
+                    at = now + yielded if yielded > 0 else now
+                elif isinstance(yielded, Event):
+                    if not yielded.fired:
+                        yielded._waiters.append(actor)
+                        break
+                    at = now
+                else:
+                    # numeric delay in microseconds
+                    delay = int(yielded)
+                    at = now + delay if delay > 0 else now
+                if (ready or (heap and heap[0][0] <= at) or event.fired
+                        or budget <= 0):
+                    self._schedule(actor, at)
+                    break
+                # nothing else is due by `at`: resume in place
+                if at != now:
+                    now = self.now = at
+        return event.value
 
     def pump(self, event, max_events=200_000_000):
         """Run until `event` fires. Budget guards against lost wakeups."""
-        budget = max_events
-        while not event.fired:
-            if not self._heap:
-                raise SchedulerHang(
-                    f"no runnable actors at t={self.now}us but event never fired")
-            if budget <= 0:
-                raise SchedulerHang(f"event budget exhausted at t={self.now}us")
-            self._step()
-            budget -= 1
-        return event.value
+        return self._run(event, max_events)
 
     def run_until_idle(self, max_events=200_000_000):
-        budget = max_events
-        while self._heap:
-            if budget <= 0:
-                raise SchedulerHang(f"event budget exhausted at t={self.now}us")
-            self._step()
-            budget -= 1
+        self._run(_IDLE, max_events)
 
     def join(self, actor, max_events=200_000_000):
         self.pump(actor.done_event, max_events)
@@ -143,22 +183,23 @@ class Scheduler:
 class CorePool:
     """Host CPU model: every worker/collector compute charge occupies one of
     a fixed set of cores, so threads contend for cycles like kthreads on the
-    modeled host. charge() books the earliest-free core and returns the
-    delay the caller should yield."""
+    modeled host. charge() books the earliest-free core (the first of
+    several) and returns the delay the caller should yield."""
 
     def __init__(self, sched, cores):
         self.sched = sched
         self.free_at = [0] * max(1, cores)
 
     def charge(self, duration_us):
-        best = 0
-        for i in range(1, len(self.free_at)):
-            if self.free_at[i] < self.free_at[best]:
-                best = i
-        start = max(self.sched.now, self.free_at[best])
+        free_at = self.free_at
+        now = self.sched.now
+        start = min(free_at)
+        best = free_at.index(start)
+        if start < now:
+            start = now
         done = start + duration_us
-        self.free_at[best] = done
-        return done - self.sched.now
+        free_at[best] = done
+        return done - now
 
 
 def run_actor(gen, seed=0):

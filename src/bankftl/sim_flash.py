@@ -1,17 +1,21 @@
 """Simulated multi-bank NAND flash card.
 
 Models the raw card the FTL drives: interfaces (channels) of banks, blocks of
-sequentially-programmable pages with spare bytes, per-interface write and
-erase queues plus one read queue per two consecutive banks, and a configurable
-latency model. `write_page`, `read_page` and `erase_block` are the one
-request path: each acts at once and returns a completion descriptor charged
-on virtual clocks. A request first occupies its queue and its interface's bus
+sequentially-programmable pages with spare bytes, one bus per interface, one
+read queue per two consecutive banks, and a configurable latency model.
+`write_page`, `read_page` and `erase_block` are the one request path: each
+acts at once and returns a completion descriptor charged on virtual clocks.
+A request first occupies its interface's bus (a read also its read queue)
 for a transfer slice, then its bank for an execution slice, so requests on
-different banks overlap while requests sharing a queue, bus or bank
-serialize, and can complete out of submission order.
+different banks overlap while requests sharing a bus, read queue or bank
+serialize, and can complete out of submission order. A read queue's wait
+binds only when its two banks sit on different interfaces (an odd
+`banks_per_interface`); otherwise the shared bus already orders them.
 
 State mutates at request acceptance; timestamps are accounting. Erase resets a
 block to all-ones and pages must be programmed strictly in order, never twice.
+A stored page is immutable `bytes`, so the device keeps no CRC of its own: a
+torn page is caught by the data CRC in its spare (`oob.decode_spare`).
 
 A block's state is created the first time the block is programmed, erased,
 marked bad or loaded from an image; until then it reads as erased, with erase
@@ -25,7 +29,6 @@ framing (`oob.pack_sections`). Loading only parses bytes; any malformed image,
 """
 
 import struct
-import zlib
 from dataclasses import dataclass, field, fields, replace
 
 from . import oob
@@ -140,6 +143,8 @@ class DeviceStats:
     blocks_erased: int = 0
     requests_accepted: int = 0
     wear_events: int = 0
+    # always 0: stored pages never change (torn pages fail their spare CRC);
+    # kept because images and the tier-1 digests carry every counter
     parity_errors: int = 0
     erase_counts_per_bank: list = field(default_factory=list)
     wear_flagged_blocks: list = field(default_factory=list)
@@ -147,7 +152,7 @@ class DeviceStats:
 
 class _Block:
     __slots__ = ("erase_count", "next_writable_page", "is_bad", "wear_flagged",
-                 "pages", "spares", "crcs")
+                 "pages", "spares")
 
     def __init__(self, pages_per_block):
         self.erase_count = 0
@@ -156,7 +161,6 @@ class _Block:
         self.wear_flagged = False
         self.pages = [None] * pages_per_block
         self.spares = [None] * pages_per_block
-        self.crcs = [0] * pages_per_block
 
 
 class _Queue:
@@ -179,12 +183,10 @@ class SimFlashDevice:
         for bank, block in bad_blocks:
             self._check_block(bank, block)
             self._mark_bad(bank, block)
-        # fixed queue map: 1 write + 1 erase queue per interface,
-        # 1 read queue per two consecutive banks
-        self.write_queues = [_Queue() for _ in range(g.num_interfaces)]
-        self.erase_queues = [_Queue() for _ in range(g.num_interfaces)]
+        # one read queue per two consecutive banks; with an odd
+        # banks_per_interface the two banks sit on different interfaces
         self.read_queues = [_Queue() for _ in range((g.num_banks + 1) // 2)]
-        # queues on one interface share that channel's bus bandwidth
+        # every transfer occupies its interface's bus
         self.bus_free_at = [0] * g.num_interfaces
         self.bank_free_at = [0] * g.num_banks
         self.now_us = 0
@@ -225,18 +227,17 @@ class SimFlashDevice:
         m = self.model
         bank = addr.bank
         itf = bank // self.geometry.banks_per_interface
+        start = max(submit_us, self.bus_free_at[itf])
         if kind == "write":
-            q = self.write_queues[itf]
             transfer, total = m.write_transfer_us, m.write_page_us
         elif kind == "erase":
-            q = self.erase_queues[itf]
             transfer, total = m.erase_transfer_us, m.erase_block_us
         else:
             q = self.read_queues[bank // 2]
+            start = max(start, q.free_at)
             transfer, total = m.read_transfer_us * units, m.read_unit_us * units
-        start = max(submit_us, q.free_at, self.bus_free_at[itf])
+            q.free_at = start + transfer
         transfer_end = start + transfer
-        q.free_at = transfer_end
         self.bus_free_at[itf] = transfer_end
         begin = max(transfer_end, self.bank_free_at[bank])
         done = begin + total - transfer
@@ -269,10 +270,8 @@ class SimFlashDevice:
         if addr.page > blk.next_writable_page:
             raise SequencingViolation(
                 f"expected page {blk.next_writable_page}, got {addr.page}")
-        data = bytes(data)
-        blk.pages[addr.page] = data
+        blk.pages[addr.page] = bytes(data)
         blk.spares[addr.page] = bytes(spare)
-        blk.crcs[addr.page] = zlib.crc32(data) & 0xFFFFFFFF
         blk.next_writable_page += 1
         self._stats.pages_written += 1
         return self._service("write", addr, submit_us)
@@ -293,8 +292,6 @@ class SimFlashDevice:
             data = self.erased_page[:length]
             spare = self.erased_spare
         else:
-            if (zlib.crc32(stored) & 0xFFFFFFFF) != blk.crcs[addr.page]:
-                self._stats.parity_errors += 1
             data = stored[offset:offset + length]
             raw = blk.spares[addr.page]
             spare = raw + self.erased_spare[len(raw):]
@@ -312,7 +309,6 @@ class SimFlashDevice:
         n = self.geometry.pages_per_block
         blk.pages = [None] * n
         blk.spares = [None] * n
-        blk.crcs = [0] * n
         blk.next_writable_page = 0
         blk.erase_count += 1
         if blk.erase_count > self.geometry.erase_cycles_limit and not blk.wear_flagged:
@@ -351,7 +347,7 @@ class SimFlashDevice:
     def reset_clocks(self, now_us=0):
         """Rebase queue/bank virtual clocks (after synthetic state injection,
         which writes pages without simulating elapsed time)."""
-        for q in self.write_queues + self.erase_queues + self.read_queues:
+        for q in self.read_queues:
             q.free_at = now_us
         self.bank_free_at = [now_us] * self.geometry.num_banks
         self.bus_free_at = [now_us] * self.geometry.num_interfaces
@@ -461,7 +457,6 @@ class SimFlashDevice:
                     raise ValueError(f"bank {bank} block {block} page {i} "
                                      f"has a {n}-byte spare")
                 blk.pages[i], blk.spares[i] = page, take(n)
-                blk.crcs[i] = zlib.crc32(page) & 0xFFFFFFFF
         return dev
 
 

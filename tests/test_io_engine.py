@@ -1,8 +1,11 @@
+import gc
+
 import pytest
 
 from bankftl.errors import ConfigurationError, EngineStateError
 from bankftl.ftl_state import UNMAPPED
 from bankftl.io_engine import EngineParams, IoRequest
+from bankftl.sched import Event, Scheduler
 
 from conftest import TINY, ShadowBlockDevice, sector_payload, tiny_engine
 
@@ -313,3 +316,68 @@ def test_write_amplification_reported(engine):
     stats = eng.stats()
     assert stats["write_amplification"] >= 1.0
     assert stats["device"]["pages_written"] >= 12
+
+
+# ---- the request handshake makes no events ----------------------------------
+
+def test_request_is_its_own_completion_event():
+    req = IoRequest("write", 0, b"\x00" * SECTOR)
+    assert req.done is req and not req.fired
+    eng = tiny_engine()
+    eng.submit(req)
+    eng.pump(req.done)
+    assert req.fired and req.result is True and req.error is None
+    eng.shutdown(clean=True)
+
+
+def test_completed_requests_are_not_cyclic_garbage():
+    # a request that referenced itself (or an event that referenced it)
+    # would keep its payload alive until the cyclic collector ran
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        eng = tiny_engine()
+        for lsn in range(200):
+            wsec(eng, lsn)
+            eng.read_sector(lsn)
+        eng.shutdown(clean=True)
+        gc.collect()
+        leaked = [o for o in gc.garbage if isinstance(o, (IoRequest, Event))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []
+
+
+def test_sync_writes_create_no_events(monkeypatch):
+    eng = tiny_engine()
+    wsec(eng, 0)      # each worker's first step makes its one wake event
+    made = []
+    event = Scheduler.event
+
+    def counted(sched):
+        made.append(sched.now)
+        return event(sched)
+
+    monkeypatch.setattr(Scheduler, "event", counted)
+    for i in range(1000):
+        wsec(eng, i % 64, tag=("ev", i))
+    assert made == []
+    eng.shutdown(clean=True)
+
+
+def test_clean_shutdown_joins_workers_parked_on_rearmed_wakes():
+    eng = tiny_engine(queues=4)
+    for lpn in range(4):                 # one page per queue
+        wsec(eng, lpn * SPP)
+    parked = list(eng.io._wake)
+    assert all(ev is not None and not ev.fired for ev in parked)
+    for lpn in range(4):                 # wake every worker once more
+        wsec(eng, lpn * SPP + 1)
+    assert all(now is then for now, then in zip(eng.io._wake, parked))
+    assert all(not ev.fired for ev in parked)
+    workers = list(eng._workers)
+    assert not any(w.done for w in workers)
+    eng.shutdown(clean=True)
+    assert all(w.done for w in workers)
+    assert eng.io._wake == [None] * 4

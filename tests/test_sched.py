@@ -1,6 +1,11 @@
+import heapq
+import itertools
+import random
+
 import pytest
 
-from bankftl.sched import ActorFailed, CorePool, Scheduler, SchedulerHang
+from bankftl.sched import (Actor, ActorFailed, CorePool, Event, Scheduler,
+                           SchedulerHang)
 
 
 def test_sleep_ordering_deterministic():
@@ -102,3 +107,194 @@ def test_core_pool_idle_cores_run_parallel():
     sched = Scheduler(0)
     pool = CorePool(sched, 4)
     assert [pool.charge(50) for _ in range(4)] == [50, 50, 50, 50]
+
+
+def test_core_pool_picks_first_of_equally_free_cores():
+    sched = Scheduler(0)
+    pool = CorePool(sched, 3)
+    pool.free_at[:] = [30, 10, 10]
+    assert pool.charge(5) == 15
+    assert pool.free_at == [30, 15, 10]
+
+
+# ---- order oracle: the scheduler against a heap-only reference ---------------
+
+class _PushToHeap:
+    """The reference's stand-in for the ready FIFO: fired events and spawns
+    go through its heap like every other wakeup."""
+
+    def __init__(self, sched):
+        self.sched = sched
+
+    def append(self, actor):
+        self.sched._schedule(actor, self.sched.now)
+
+    def extend(self, actors):
+        for actor in actors:
+            self.append(actor)
+
+
+class HeapScheduler:
+    """Reference order: one heap of (time, submission, actor) holds every
+    runnable actor, and each step pops its head; no FIFO, no in-place
+    resume."""
+
+    def __init__(self):
+        self.now = 0
+        self._heap = []
+        self._seq = itertools.count()
+        self._ready = _PushToHeap(self)
+        self.events_processed = 0
+
+    def event(self):
+        return Event(self)
+
+    def spawn(self, gen, name="actor"):
+        actor = Actor(self, gen, name)
+        self._schedule(actor, self.now)
+        return actor
+
+    def _schedule(self, actor, at):
+        heapq.heappush(self._heap, (at, next(self._seq), actor))
+
+    def _step(self):
+        at, _, actor = heapq.heappop(self._heap)
+        if at > self.now:
+            self.now = at
+        self.events_processed += 1
+        try:
+            yielded = actor.gen.send(None)
+        except StopIteration as stop:
+            actor.done = True
+            actor.result = stop.value
+            actor.done_event.fire(stop.value)
+            return
+        if isinstance(yielded, Event):
+            if yielded.fired:
+                self._schedule(actor, self.now)
+            else:
+                yielded._waiters.append(actor)
+        else:
+            self._schedule(actor, self.now + max(0, int(yielded)))
+
+    def pump(self, event, max_events=200_000_000):
+        budget = max_events
+        while not event.fired:
+            if not self._heap:
+                raise SchedulerHang(
+                    f"no runnable actors at t={self.now}us but event never fired")
+            if budget <= 0:
+                raise SchedulerHang(f"event budget exhausted at t={self.now}us")
+            self._step()
+            budget -= 1
+        return event.value
+
+    def run_until_idle(self, max_events=200_000_000):
+        budget = max_events
+        while self._heap:
+            if budget <= 0:
+                raise SchedulerHang(f"event budget exhausted at t={self.now}us")
+            self._step()
+            budget -= 1
+
+
+DELAYS = (0, 0, 0, 1, 1, 2, 3, 5, -4, 2.7)
+
+
+def random_program(rng, events, depth=0):
+    ops = []
+    for _ in range(rng.randrange(1, 14)):
+        r = rng.random()
+        if r < 0.45:
+            ops.append(("sleep", rng.choice(DELAYS)))
+        elif r < 0.65:
+            ops.append(("wait", rng.randrange(events)))
+        elif r < 0.88:
+            ops.append(("fire", rng.randrange(events)))
+        elif depth < 2:
+            ops.append(("spawn", random_program(rng, events, depth + 1)))
+    return ops
+
+
+def program_actor(sched, events, trace, name, ops):
+    """Records (now, name) on every resumption; sleeps, parks on fired and
+    unfired events, fires events others wait on and spawns children."""
+    trace.append((sched.now, name))
+    children = 0
+    for op, arg in ops:
+        if op == "fire":
+            events[arg].fire(name)
+            continue
+        if op == "spawn":
+            child = f"{name}.{children}"
+            children += 1
+            sched.spawn(program_actor(sched, events, trace, child, arg), child)
+            continue
+        yield arg if op == "sleep" else events[arg]
+        trace.append((sched.now, name))
+
+
+def run_scenario(sched, seed):
+    rng = random.Random(seed)
+    n_events = rng.randrange(2, 7)
+    roots = [random_program(rng, n_events) for _ in range(rng.randrange(1, 7))]
+    late = random_program(rng, n_events)
+    prefired = [rng.random() < 0.25 for _ in range(n_events)]
+    first, second = rng.randrange(n_events), rng.randrange(n_events)
+    first_budget = rng.choice((1, 2, 3, 5, 8, 200_000_000))
+    idle_budget = rng.choice((4, 200_000_000))
+
+    trace, outcomes = [], []
+    events = [sched.event() for _ in range(n_events)]
+    for ev, fired in zip(events, prefired):
+        if fired:
+            ev.fire("pre")
+    for i, ops in enumerate(roots):
+        sched.spawn(program_actor(sched, events, trace, f"a{i}", ops), f"a{i}")
+
+    def attempt(run):
+        try:
+            outcomes.append(("ok", run(), sched.now, sched.events_processed))
+        except SchedulerHang as exc:
+            outcomes.append(("hang", str(exc), sched.now, sched.events_processed))
+
+    attempt(lambda: sched.pump(events[first], first_budget))
+    sched.spawn(program_actor(sched, events, trace, "late", late), "late")
+    attempt(lambda: sched.pump(events[second]))
+    attempt(lambda: sched.run_until_idle(idle_budget))
+    attempt(sched.run_until_idle)
+    return trace, outcomes, sched.events_processed, sched.now
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_resumption_order_matches_heap_reference(block):
+    for seed in range(block * 250, (block + 1) * 250):
+        got = run_scenario(Scheduler(seed), seed)
+        want = run_scenario(HeapScheduler(), seed)
+        assert got == want, f"seed {seed}"
+
+
+def test_pump_return_requeues_the_actor_it_was_resuming():
+    # `a` fires the pumped event while `b` is due at the same instant: after
+    # the pump returns, `b` (queued first) still runs before `a` resumes
+    for sched in (Scheduler(0), HeapScheduler()):
+        ev = sched.event()
+        seen = []
+
+        def a():
+            yield 5
+            ev.fire()
+            yield 0
+            seen.append(("a", sched.now))
+
+        def b():
+            yield 5
+            seen.append(("b", sched.now))
+
+        sched.spawn(a(), "a")
+        sched.spawn(b(), "b")
+        sched.pump(ev)
+        assert seen == []
+        sched.run_until_idle()
+        assert seen == [("b", 5), ("a", 5)]
+        assert sched.events_processed == 5

@@ -25,8 +25,7 @@ def page_of(byte):
 def test_full_card_queue_layout():
     dev = SimFlashDevice(PROFILES["card512"])
     assert dev.geometry.num_banks == 64
-    assert len(dev.write_queues) == 4
-    assert len(dev.erase_queues) == 4
+    assert len(dev.bus_free_at) == 4
     assert len(dev.read_queues) == 32
 
 
@@ -149,6 +148,17 @@ def test_queues_of_one_interface_share_its_bus():
     dev.write_page(PageAddress(0, 0, 0), page_of(1), submit_us=0)
     d = dev.erase_block(1, 0, submit_us=0)
     assert d.complete_us == m.write_transfer_us + m.erase_block_us
+
+
+def test_read_queue_serializes_banks_on_two_interfaces():
+    # one bank per interface: banks 0 and 1 have buses of their own but share
+    # read queue 0, so the second read's transfer waits for the first one's
+    dev = SimFlashDevice(FlashGeometry(2, 1, 4, 4, 1024, 32, 256))
+    m = LatencyModel()
+    first = dev.read_page(PageAddress(0, 0, 0), length=256, submit_us=0)[2]
+    second = dev.read_page(PageAddress(1, 0, 0), length=256, submit_us=0)[2]
+    assert first.complete_us == m.read_unit_us
+    assert second.complete_us == m.read_transfer_us + m.read_unit_us
 
 
 def test_parallel_speedup_property():
