@@ -65,18 +65,23 @@ def serialize_state(state):
     ])
 
 
-def restore_state(state, payload):
-    g = state.geometry
-    sizes = {
+def section_sizes(state):
+    """The byte length of each section `serialize_state` writes, in order;
+    the geometry fixes every one."""
+    return {
         b"MAPT": state.map.nbytes,
         b"FREE": -(-state.free_bits.size // 8),
         b"VBIT": -(-state.valid_bits.size // 8),
         b"VCNT": state.valid_count.nbytes,
-        b"BANK": g.num_banks * 4 * 4,       # four int32 columns per bank
+        b"BANK": state.geometry.num_banks * 4 * 4,  # four int32 columns per bank
         b"SEQC": 8,
     }
+
+
+def restore_state(state, payload):
+    g = state.geometry
     mapt, free, vbit, vcnt, bank_blob, seqc = oob.unpack_sections(
-        payload, sizes, CheckpointError)
+        payload, section_sizes(state), CheckpointError)
     state.map[:] = np.frombuffer(mapt, dtype=np.uint32)
     free = np.unpackbits(np.frombuffer(free, dtype=np.uint8))
     state.free_bits[:] = free[:g.num_banks * g.blocks_per_bank].reshape(
@@ -166,7 +171,7 @@ class Checkpointer:
         """Write the chain; returns (head_bank, head_block, relocations)."""
         g = self.device.geometry
         state = self.state
-        length = len(serialize_state(state))
+        length = oob.framed_length(section_sizes(state).values())
         per_block = self._chain_capacity()
         n_blocks = max(1, -(-length // per_block))
         head_bank, head_block, relocations = yield from self._alloc_head()
@@ -307,7 +312,7 @@ class Checkpointer:
         if not ok:
             return False
         try:
-            restore_state(self.state, bytes(payload))
+            restore_state(self.state, memoryview(payload))
         except CheckpointError:
             return False
         self.state.sequence_floor(seq)

@@ -348,24 +348,24 @@ class IoEngine:
     def pick_bank(self, exclude=()):
         """Rotate over banks with room, skipping GC-flagged ones when any
         alternative exists; with every candidate flagged, pick at random."""
-        g = self.device.geometry
+        n = self.device.geometry.num_banks
         banks = self.state.banks
-        candidates = []
-        for i in range(g.num_banks):
-            bank = (self._bank_cursor + i) % g.num_banks
-            if bank in exclude or not self.state.has_room(
-                    bank, self.params.gc_reserve_blocks):
+        has_room, reserve = self.state.has_room, self.params.gc_reserve_blocks
+        flagged = []
+        for i in range(n):
+            bank = (self._bank_cursor + i) % n
+            if bank in exclude or not has_room(bank, reserve):
                 continue
-            candidates.append(bank)
-        if not candidates:
-            return None
-        for bank in candidates:
             info = banks[bank]
-            if not (info.gc_active or info.exclusive_gc):
-                self._bank_cursor = (bank + 1) % g.num_banks
-                return bank
-        bank = self.sched.rng.choice(candidates)
-        self._bank_cursor = (bank + 1) % g.num_banks
+            if info.gc_active or info.exclusive_gc:
+                flagged.append(bank)
+                continue
+            self._bank_cursor = (bank + 1) % n
+            return bank
+        if not flagged:
+            return None
+        bank = self.sched.rng.choice(flagged)
+        self._bank_cursor = (bank + 1) % n
         return bank
 
     def _pick_bank_gc(self, exclude=()):

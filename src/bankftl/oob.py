@@ -51,6 +51,11 @@ def pack_sections(sections):
     return bytes(out)
 
 
+def framed_length(sizes):
+    """The length of the `pack_sections` payload of blobs of these sizes."""
+    return sum(_SECT.size + n for n in sizes)
+
+
 def unpack_sections(payload, sizes, error):
     """The blobs of a framed payload, in the order of `sizes`, a mapping of
     tag to its required length (None for any). The payload must hold exactly

@@ -14,8 +14,20 @@ binds only when its two banks sit on different interfaces (an odd
 
 State mutates at request acceptance; timestamps are accounting. Erase resets a
 block to all-ones and pages must be programmed strictly in order, never twice.
-A stored page is immutable `bytes`, so the device keeps no CRC of its own: a
-torn page is caught by the data CRC in its spare (`oob.decode_spare`).
+A stored page is immutable, so the device keeps no CRC of its own: a torn
+page is caught by the data CRC in its spare (`oob.decode_spare`).
+
+A programmed page keeps only the bytes that carry data. A page whose last
+read unit has a non-zero byte past the unit's first `_HEAD` bytes is stored
+whole, as `bytes`; telling costs a dense page two compares, each stopping at
+the first non-zero byte it meets. Any other page is stored as a tuple of
+pieces, each read unit's head (its first `_HEAD` bytes) then its tail (the
+rest), up to the last piece that holds data; a tail that is all zero is one
+shared zero run. Pieces cut off the end read back as zeros. A read joins
+only the pieces of its window; an image holds whole pages, and loading
+stores them by the same rule. So headers followed by zeros (aged pages, the
+benchmark's sectors) cost a few dozen bytes per read unit instead of a whole
+page, and every read returns the bytes written.
 
 A block's state is created the first time the block is programmed, erased,
 marked bad or loaded from an image; until then it reads as erased, with erase
@@ -34,6 +46,10 @@ from dataclasses import dataclass, field, fields, replace
 from . import oob
 from .errors import (AddressError, BadBlockError, ConfigurationError,
                      OverwriteViolation, SequencingViolation)
+
+# bytes kept at the start of a read unit stored sparse; the largest header the
+# simulator writes into a unit is the checkpoint chain's 30 bytes
+_HEAD = 64
 
 
 @dataclass(frozen=True)
@@ -180,6 +196,11 @@ class SimFlashDevice:
         self._bad_blocks = set()
         self.erased_page = b"\xff" * g.page_size
         self.erased_spare = b"\xff" * g.spare_per_page
+        # zero runs for the stored-page form (_store, _window)
+        self._head = min(_HEAD, g.read_unit)
+        self._zero_rest = bytes(g.page_size - self._head)
+        self._zero_tail = bytes(g.read_unit - self._head)
+        self._zero_page = memoryview(bytes(g.page_size))
         for bank, block in bad_blocks:
             self._check_block(bank, block)
             self._mark_bad(bank, block)
@@ -252,6 +273,35 @@ class SimFlashDevice:
                 (rid, kind, bank, addr.block, addr.page, submit_us, done))
         return CompletionDescriptor(rid, submit_us, done)
 
+    # ---- stored-page form -------------------------------------------------
+
+    def _store(self, data):
+        """The stored form of page bytes `data` (see the module docstring)."""
+        head, zero_tail = self._head, self._zero_tail
+        if data.startswith(self._zero_rest, head):
+            return (data[:head],)
+        if not data.endswith(zero_tail):
+            return data
+        ru = self.geometry.read_unit
+        pieces = []
+        for base in range(0, len(data), ru):
+            tail = base + head
+            pieces.append(data[base:tail])
+            pieces.append(zero_tail if data.startswith(zero_tail, tail)
+                          else data[tail:base + ru])
+        # some piece past the first head is non-zero, so this stops
+        while pieces[-1] is zero_tail or pieces[-1].count(0) == len(pieces[-1]):
+            pieces.pop()
+        return tuple(pieces)
+
+    def _window(self, stored, offset, length):
+        """`length` bytes of a stored page from `offset`, both unit-aligned."""
+        if type(stored) is bytes:
+            return stored[offset:offset + length]
+        first = 2 * offset // self.geometry.read_unit
+        data = b"".join(stored[first:first + 2 * length // self.geometry.read_unit])
+        return data if len(data) == length else data + self._zero_page[len(data):length]
+
     # ---- requests ------------------------------------------------------
 
     def write_page(self, addr, data, spare=b"", submit_us=None):
@@ -270,7 +320,7 @@ class SimFlashDevice:
         if addr.page > blk.next_writable_page:
             raise SequencingViolation(
                 f"expected page {blk.next_writable_page}, got {addr.page}")
-        blk.pages[addr.page] = bytes(data)
+        blk.pages[addr.page] = self._store(bytes(data))
         blk.spares[addr.page] = bytes(spare)
         blk.next_writable_page += 1
         self._stats.pages_written += 1
@@ -292,7 +342,7 @@ class SimFlashDevice:
             data = self.erased_page[:length]
             spare = self.erased_spare
         else:
-            data = stored[offset:offset + length]
+            data = self._window(stored, offset, length)
             raw = blk.spares[addr.page]
             spare = raw + self.erased_spare[len(raw):]
         units = max(1, length // g.read_unit)
@@ -375,6 +425,7 @@ class SimFlashDevice:
 
     def save_image(self, path):
         s = self._stats
+        size = self.geometry.page_size
         blocks = bytearray()
         for bank, row in enumerate(self._banks):
             for block, blk in enumerate(row):
@@ -384,7 +435,8 @@ class SimFlashDevice:
                 blocks += _BLOCK.pack(bank, block, blk.erase_count, n,
                                       blk.is_bad, blk.wear_flagged)
                 for page, spare in zip(blk.pages[:n], blk.spares[:n]):
-                    blocks += page + _SPARE_LEN.pack(len(spare)) + spare
+                    blocks += self._window(page, 0, size)
+                    blocks += _SPARE_LEN.pack(len(spare)) + spare
         counters = [self.now_us, *(getattr(s, k) for k in _COUNTERS),
                     *s.erase_counts_per_bank]
         profile = profile_dict(self.geometry, self.model, sorted(self._bad_blocks))
@@ -456,7 +508,7 @@ class SimFlashDevice:
                 if n > g.spare_per_page:
                     raise ValueError(f"bank {bank} block {block} page {i} "
                                      f"has a {n}-byte spare")
-                blk.pages[i], blk.spares[i] = page, take(n)
+                blk.pages[i], blk.spares[i] = dev._store(page), take(n)
         return dev
 
 

@@ -1,18 +1,19 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bankftl import checkpoint
-from bankftl.checkpoint import (Checkpointer, restore_state, serialize_state,
-                                window_blocks)
+from bankftl.checkpoint import (Checkpointer, restore_state, section_sizes,
+                                serialize_state, window_blocks)
 from bankftl.errors import CheckpointError
 from bankftl.ftl_state import UNMAPPED, FtlState
 from bankftl.oob import (LPN_NONE, SPARE_BYTES, TYPE_CHECKPOINT, TYPE_DATA,
-                         decode_spare, encode_spare, pack_sections,
-                         unpack_sections)
+                         decode_spare, encode_spare, framed_length,
+                         pack_sections, unpack_sections)
 from bankftl.sched import Scheduler
-from bankftl.sim_flash import PageAddress, SimFlashDevice
+from bankftl.sim_flash import PROFILES, PageAddress, SimFlashDevice
 
 from conftest import TINY, sector_payload, synth_block, tiny_engine
 
@@ -75,6 +76,13 @@ def test_serialize_restore_identity_random():
         assert other.sequence >= state.sequence
         assert other.banks[0].current_block == state.banks[0].current_block
         assert other.banks[0].next_page == state.banks[0].next_page
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_serialized_length_follows_from_the_geometry(profile):
+    state = FtlState(PROFILES[profile])
+    length = framed_length(section_sizes(state).values())
+    assert length == len(serialize_state(state))
 
 
 def test_restore_rejects_corruption():
@@ -174,6 +182,30 @@ def test_save_load_roundtrip_with_windowed_probes():
                           saved_map[saved_map != UNMAPPED])
     sched2, device, state2, loader2 = fresh_pair(device)
     assert not sched2.join(sched2.spawn(loader2.load(), "load2"))
+
+
+def test_chain_load_copies_the_payload_at_most_once():
+    eng = tiny_engine(profile="desk64")
+    g = eng.device.geometry
+    for lpn in range(0, eng.state.num_lpns, 97):
+        eng.write_sector(lpn * g.sectors_per_page, sector_payload(lpn, g.read_unit))
+    eng.flush()
+    eng.run(eng.ckpt.save())
+    length = len(serialize_state(eng.state))
+    assert length > 2 * g.pages_per_block * g.page_size   # a chain of blocks
+    device = eng.device
+    eng.shutdown(clean=False)
+    sched = Scheduler(0)
+    state = FtlState(g, 8, 0.875, sorted(device.bad_block_set()))
+    loader = Checkpointer(sched, device, state, k=4)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        assert sched.join(sched.spawn(loader.load(), "load"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 2.5 * length
 
 
 def test_blank_device_load_not_found():

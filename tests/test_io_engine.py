@@ -1,11 +1,13 @@
 import gc
+import random
 
 import pytest
 
 from bankftl.errors import ConfigurationError, EngineStateError
-from bankftl.ftl_state import UNMAPPED
-from bankftl.io_engine import EngineParams, IoRequest
+from bankftl.ftl_state import UNMAPPED, BankInfo, FtlState
+from bankftl.io_engine import EngineParams, IoEngine, IoRequest
 from bankftl.sched import Event, Scheduler
+from bankftl.sim_flash import PROFILES, SimFlashDevice
 
 from conftest import TINY, ShadowBlockDevice, sector_payload, tiny_engine
 
@@ -127,6 +129,70 @@ def test_pick_bank_skips_gc_banks(engine):
     assert 0 <= bank < TINY.num_banks     # random pick still delivers
     for bank in range(TINY.num_banks):
         eng.state.banks[bank].gc_active = False
+
+
+class _BankTable:
+    """The part of FtlState that pick_bank reads: bank records and has_room."""
+
+    num_lpns = 1
+    has_room = FtlState.has_room
+
+    def __init__(self, num_banks):
+        self.banks = [BankInfo(0) for _ in range(num_banks)]
+
+
+def reference_pick_bank(io, exclude=()):
+    """The bank choice rule as first written: list every candidate in
+    rotation order, take the first without a GC flag, else pick at random."""
+    n = io.device.geometry.num_banks
+    candidates = []
+    for i in range(n):
+        bank = (io._bank_cursor + i) % n
+        if bank in exclude or not io.state.has_room(
+                bank, io.params.gc_reserve_blocks):
+            continue
+        candidates.append(bank)
+    if not candidates:
+        return None
+    for bank in candidates:
+        info = io.state.banks[bank]
+        if not (info.gc_active or info.exclusive_gc):
+            io._bank_cursor = (bank + 1) % n
+            return bank
+    bank = io.sched.rng.choice(candidates)
+    io._bank_cursor = (bank + 1) % n
+    return bank
+
+
+@pytest.mark.parametrize("profile", ["desk8", "card512"])
+def test_pick_bank_matches_reference_rule(profile):
+    device = SimFlashDevice(PROFILES[profile])
+    n = device.geometry.num_banks
+    io = IoEngine(Scheduler(5), device, _BankTable(n),
+                  EngineParams(num_buffers=1))
+    rng = random.Random(profile)
+    outcomes = set()
+    for _ in range(3000):
+        io.params.gc_reserve_blocks = rng.randrange(3)
+        p_room = rng.choice((0.0, 0.3, 0.9, 1.0))
+        p_flag = rng.choice((0.0, 0.5, 0.9, 1.0))
+        for info in io.state.banks:
+            info.free_blocks = rng.randrange(3) if rng.random() < p_room else 0
+            info.current_block = rng.choice((None, 7))
+            info.gc_active = rng.random() < p_flag
+            info.exclusive_gc = rng.random() < p_flag / 2
+        exclude = set(rng.sample(range(n), rng.choice((0, 1, n // 2))))
+        io._bank_cursor = rng.randrange(n)
+        before = (io._bank_cursor, io.sched.rng.getstate())
+        want = (reference_pick_bank(io, exclude), io._bank_cursor,
+                io.sched.rng.getstate())
+        io._bank_cursor, _ = before
+        io.sched.rng.setstate(before[1])
+        got = (io.pick_bank(exclude), io._bank_cursor, io.sched.rng.getstate())
+        assert got == want
+        drew = want[2] != before[1]
+        outcomes.add("none" if want[0] is None else "random" if drew else "rotation")
+    assert outcomes == {"none", "random", "rotation"}
 
 
 def test_pick_bank_sequential_fill(engine):

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import random
 import re
@@ -568,3 +569,108 @@ def test_malformed_image_rejected(tmp_path, corrupt):
     path.write_bytes(corrupt(good.read_bytes()))
     with pytest.raises(ConfigurationError, match=re.escape(str(path))):
         SimFlashDevice.load_image(path)
+
+
+# ---- stored-page form: a page keeps only the bytes that carry data ----------
+
+def sample_pages(g, rng):
+    """Pages of every storage shape: dense, a fill pattern, a header then
+    zeros in every read unit, a zero tail in the last unit only, single
+    non-zero bytes at unit and head boundaries, all zeros, and random mixes
+    of zero, header-only and dense units."""
+    ps, ru, n = g.page_size, g.read_unit, g.sectors_per_page
+
+    def header_unit(k):
+        return rng.randbytes(k) + bytes(ru - k)
+
+    pages = [rng.randbytes(ps), b"\xa5" * ps, bytes(ps),
+             b"".join(header_unit(16) for _ in range(n)),
+             b"".join(header_unit(64) for _ in range(n)),
+             rng.randbytes(ps - ru) + header_unit(64),
+             rng.randbytes(ps - ru) + bytes(ru),
+             header_unit(12) + bytes(ps - ru)]
+    for offset in (0, 15, 63, 64, 65, ru - 1, ru, ru + 64, ps // 2 + 100,
+                   ps - ru, ps - ru + 63, ps - ru + 64, ps - 1):
+        page = bytearray(ps)
+        page[offset] = rng.randrange(1, 256)
+        pages.append(bytes(page))
+    shapes = (lambda: bytes(ru), lambda: header_unit(rng.randrange(1, 65)),
+              lambda: rng.randbytes(ru))
+    for _ in range(12):
+        pages.append(b"".join(rng.choice(shapes)() for _ in range(n)))
+    return pages
+
+
+def assert_reads_back(dev, written):
+    g = dev.geometry
+    ru, n = g.read_unit, g.sectors_per_page
+    for addr, (data, spare) in written.items():
+        padded = spare + b"\xff" * (g.spare_per_page - len(spare))
+        for first in range(n + 1):
+            for end in range(first, n + 1):
+                got, sp, _ = dev.read_page(addr, first * ru, (end - first) * ru,
+                                           want_spare=True)
+                assert got == data[first * ru:end * ru]
+                assert sp == padded
+        got, sp, _ = dev.read_page(addr)
+        assert got == data and sp == b""
+
+
+@pytest.mark.parametrize("profile", ["desk8", "card512"])
+def test_stored_pages_read_back_as_written(tmp_path, profile):
+    g = PROFILES[profile]
+    rng = random.Random(profile)
+    dev = SimFlashDevice(g)
+    written = {}
+    for i, data in enumerate(sample_pages(g, rng)):
+        addr = PageAddress(i % g.num_banks, 3, i // g.num_banks)
+        spare = rng.randbytes(rng.randrange(g.spare_per_page + 1))
+        dev.write_page(addr, bytearray(data) if i % 2 else data, spare)
+        written[addr] = (data, spare)
+    assert_reads_back(dev, written)
+    dev.save_image(tmp_path / "f.img")
+    copy = SimFlashDevice.load_image(tmp_path / "f.img")
+    copy.save_image(tmp_path / "g.img")
+    assert (tmp_path / "g.img").read_bytes() == (tmp_path / "f.img").read_bytes()
+    assert_reads_back(copy, written)
+
+
+def programmed_sample_device():
+    """A small device programmed deterministically with every page shape."""
+    dev = SimFlashDevice(TINY, bad_blocks=[(3, 7)])
+    rng = random.Random(2024)
+    for i, data in enumerate(sample_pages(TINY, rng)):
+        block, page = divmod(i // TINY.num_banks, TINY.pages_per_block)
+        dev.write_page(PageAddress(i % TINY.num_banks, block, page), data,
+                       rng.randbytes(rng.randrange(TINY.spare_per_page + 1)),
+                       submit_us=i * 37)
+    dev.erase_block(1, 5)
+    return dev
+
+
+# taken while every page was still stored whole: how a page is held in
+# memory must not change a byte of the image
+SAMPLE_IMAGE_SHA256 = \
+    "c4f86809096ba249019fda6510f672421d995803dd5bfae1c888e9cdd6117c61"
+
+
+def test_image_bytes_are_pinned(tmp_path):
+    programmed_sample_device().save_image(tmp_path / "f.img")
+    digest = hashlib.sha256((tmp_path / "f.img").read_bytes()).hexdigest()
+    assert digest == SAMPLE_IMAGE_SHA256
+
+
+def test_header_pages_are_stored_in_a_few_bytes_per_unit():
+    dev = SimFlashDevice(CARD)
+    tail = bytes(CARD.read_unit - 16)
+    tracemalloc.start()
+    try:
+        for i in range(256):
+            page = b"".join(struct.pack("<QQ", i, s) + tail
+                            for s in range(CARD.sectors_per_page))
+            dev.write_page(PageAddress(i % 4, 0, i // 4), page)
+            del page
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * 2**20
