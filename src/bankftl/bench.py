@@ -139,9 +139,17 @@ def _client_actor(eng, spec, tid, samples, thread_sums, errors):
         t0 = eng.sched.now
         for s in range(spp):
             req = IoRequest("write", page_index * spp + s, payload)
+            unsynced += sector
+            if not pending and unsynced >= sync_every:
+                # this request alone completes a sync unit: wait on it now
+                if not eng.io.submit_inline(req):
+                    yield req
+                if req.error is not None:
+                    errors.append((tid, req.lsn, repr(req.error)))
+                unsynced = 0
+                continue
             eng.io.submit(req)
             pending.append(req)
-            unsynced += sector
             if unsynced >= sync_every:
                 for p in pending:
                     if not p.done.fired:

@@ -11,7 +11,7 @@ drops the buffers cold to emulate a crash.
 """
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .checkpoint import Checkpointer
 from .errors import CheckpointError, ConfigurationError, EngineStateError
@@ -88,14 +88,16 @@ class Engine:
         self.ckpt = Checkpointer(self.sched, self.device, self.state,
                                  config.checkpoint_k)
         self.io = IoEngine(self.sched, self.device, self.state, config.io)
-        if config.policy.kind == "PLLGC_ADAPTIVE" and config.policy.adaptive_map is None:
-            config.policy.adaptive_map = default_adaptive_map(
-                config.io.num_queues, config.policy.max_gc_threads)
-        self.gc = GcController(self.sched, self.device, self.state,
-                               config.policy,
+        policy = config.policy
+        if policy.kind == "PLLGC_ADAPTIVE" and policy.adaptive_map is None:
+            # resolved in the engine's own copy: the caller's policy may
+            # serve another engine with another queue count
+            policy = replace(policy, adaptive_map=default_adaptive_map(
+                config.io.num_queues, policy.max_gc_threads))
+        self.gc = GcController(self.sched, self.device, self.state, policy,
                                config.levels or default_levels(self.device.geometry))
         self.gc.io_activity = lambda: self.io.recent_active(
-            config.policy.activity_window_us, self.sched.now)
+            policy.activity_window_us, self.sched.now)
         self.io.cores = self.cores
         self.gc.cores = self.cores
         self.io.gc = self.gc

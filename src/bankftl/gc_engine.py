@@ -24,7 +24,7 @@ that throttles how many collectors are awake based on how many IO workers are
 busy, and bars writers from the single most-starved bank (exclusiveGC).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import oob
 
@@ -145,7 +145,6 @@ class GcController:
         self.sched = sched
         self.device = device
         self.state = state
-        self.policy = policy
         self.levels = levels or default_levels(device.geometry)
         # level by free-block count: the highest level whose threshold the
         # count is at or below
@@ -153,8 +152,10 @@ class GcController:
         for i, lvl in enumerate(self.levels):
             reach = min(max(lvl.free_threshold + 1, 0), len(self._level_of_free))
             self._level_of_free[:reach] = [i] * reach
-        if policy.panic_free_blocks is None:
-            policy.panic_free_blocks = max(1, self.levels[-1].free_threshold // 2)
+        if policy.panic_free_blocks is None:      # in the controller's own copy
+            policy = replace(policy, panic_free_blocks=max(
+                1, self.levels[-1].free_threshold // 2))
+        self.policy = policy
         self.stats = GcStats()
         self.log = []                 # (ts_us, event, bank, block)
         self.running = False

@@ -18,13 +18,21 @@ LPN, and the writer that holds it keeps it across the 1 us retry when every
 buffer is mid-transition (`_select_buffer` returns None); other writers of
 that LPN retry meanwhile.
 
+A caller that waits on its request at once may submit it with
+`submit_inline`. A buffer hit is then served in the caller's own step when
+the scheduler would run the queued handoff (worker wakes, charges its CPU
+cost, is resumed in place, fires the request) with no other actor in
+between; the caller books the same core, moves the clock to the end of the
+charge and runs the same hit code. Virtual time, counters and heap order
+are those of the handoff. Every other request is queued as by `submit`.
+
 Device backpressure is inherent in the device's one, synchronous request
 path (queue occupancy is charged as wait time), so no retry/backoff loop is
 needed here.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import oob
 from .errors import (AddressError, ConfigurationError, EngineStateError,
@@ -105,11 +113,12 @@ class IoEngine:
         self.sched = sched
         self.device = device
         self.state = state
-        self.params = params or EngineParams()
         g = device.geometry
-        if self.params.buffer_size == 0:
-            self.params.buffer_size = g.page_size
-        if self.params.buffer_size != g.page_size:
+        params = params or EngineParams()
+        if params.buffer_size == 0:       # resolved in the engine's own copy
+            params = replace(params, buffer_size=g.page_size)
+        self.params = params
+        if params.buffer_size != g.page_size:
             raise ConfigurationError("buffer_size must equal the flash page size")
         if g.sectors_per_page < 2:
             raise ConfigurationError("engine needs at least 2 sectors per page")
@@ -162,20 +171,65 @@ class IoEngine:
         return sum(1 for qi, t in enumerate(self.last_work_us)
                    if self._busy[qi] or t >= floor)
 
-    def submit(self, req):
+    def _accept(self, req):
+        """Checks and stamps `req`; returns its queue."""
         if not self.running:
             raise EngineStateError("engine is not serving")
         if not (0 <= req.lsn < self.num_sectors):
             raise AddressError(f"sector {req.lsn} outside exported capacity")
         req._sched = self.sched
         req.submit_us = self.sched.now
-        qi = self._dispatch(req)
+        return self._dispatch(req)
+
+    def _enqueue(self, req, qi):
         self.queues[qi].append(req)
         wake = self._wake[qi]
         if wake is not None:
             self._wake[qi] = None
             wake.fire()
+
+    def submit(self, req):
+        self._enqueue(req, self._accept(req))
         return req
+
+    def submit_inline(self, req):
+        """Submit `req` for a caller that waits on it before doing anything
+        else. Returns True when `req` was served in the caller's own step
+        and is complete, False when it was queued as by `submit`: the caller
+        then yields `req`. A buffer hit is served only when its worker is
+        parked and the scheduler would resume that worker in place after its
+        CPU charge (see the module docstring). Every check is made before
+        anything is booked."""
+        qi = self._accept(req)
+        sched = self.sched
+        now = sched.now
+        cpu_us = self.params.cpu_us
+        cores = self.cores
+        # the worker is parked (its queue is empty), nothing is due by the
+        # earliest end of its charge, and the request is a hit
+        slot = None
+        if self._wake[qi] is not None and sched.resumes_in_place(now + cpu_us):
+            slot = self._hit_slot(req)
+        if slot is not None and cores is not None:
+            # busy cores put the end later: nothing may be due by then either
+            free_at = min(cores.free_at)          # as CorePool.charge books
+            delay = (free_at if free_at > now else now) + cpu_us - now
+            if delay != cpu_us and not sched.resumes_in_place(now + delay):
+                slot = None
+        if slot is None:
+            self._enqueue(req, qi)
+            return False
+        sched.now = now + (cores.charge(cpu_us) if cores else cpu_us)
+        self.last_work_us[qi] = sched.now
+        off = req.lsn % self.spp
+        if req.kind == "write":
+            self._write_hit(slot, off, req.data)
+            req.result = True
+        else:
+            self.counters["user_sectors_read"] += 1
+            req.result = self._read_hit(slot, off)
+        req.fire()
+        return True
 
     # ---- workers ------------------------------------------------------------
 
@@ -214,6 +268,40 @@ class IoEngine:
             self._busy[qi] = False
             req.fire()
 
+    # ---- buffer hits -----------------------------------------------------------
+
+    def _hit_slot(self, req):
+        """The slot that serves `req` from the buffer alone, or None: a
+        one-sector write to a buffered LPN, or a read of a sector that is
+        dirty in its buffer."""
+        lpn, off = divmod(req.lsn, self.spp)
+        if req.kind == "read":
+            return self._dirty_slot(lpn, off)
+        if req.kind != "write" or len(req.data) != self.sector_size:
+            return None
+        slot_idx = self.state.buf_find(lpn)
+        return None if slot_idx is None else self.slots[slot_idx]
+
+    def _dirty_slot(self, lpn, off):
+        """The slot holding sector `off` of `lpn` dirty, or None."""
+        slot_idx = self.state.buf_find(lpn)
+        if slot_idx is not None:
+            slot = self.slots[slot_idx]
+            if slot.dirty & (1 << off):
+                return slot
+        return None
+
+    def _write_hit(self, slot, off, data):
+        self._write_into_slot(slot, off, data)
+        self.counters["cache_hits"] += 1
+        self.counters["user_sectors_written"] += 1
+
+    def _read_hit(self, slot, off):
+        base = off * self.sector_size
+        slot.last_access = self.sched.now
+        self.counters["read_hits"] += 1
+        return bytes(slot.data[base:base + self.sector_size])
+
     # ---- write path -----------------------------------------------------------
 
     def _write_into_slot(self, slot, off, data):
@@ -234,9 +322,7 @@ class IoEngine:
         while True:
             slot_idx = state.buf_find(lpn)
             if slot_idx is not None:
-                self._write_into_slot(self.slots[slot_idx], off, data)
-                self.counters["cache_hits"] += 1
-                self.counters["user_sectors_written"] += 1
+                self._write_hit(self.slots[slot_idx], off, data)
                 return
             if not state.try_claim_alloc(lpn):
                 # someone else is installing a buffer for this lpn
@@ -416,14 +502,9 @@ class IoEngine:
     def _read_sector(self, lsn):
         lpn, off = divmod(lsn, self.spp)
         self.counters["user_sectors_read"] += 1
-        slot_idx = self.state.buf_find(lpn)
-        if slot_idx is not None:
-            slot = self.slots[slot_idx]
-            if slot.dirty & (1 << off):
-                base = off * self.sector_size
-                slot.last_access = self.sched.now
-                self.counters["read_hits"] += 1
-                return bytes(slot.data[base:base + self.sector_size])
+        slot = self._dirty_slot(lpn, off)
+        if slot is not None:
+            return self._read_hit(slot, off)
         self.counters["read_misses"] += 1
         data = yield from self._read_mapped_page(
             lpn, off * self.sector_size, self.sector_size)

@@ -15,8 +15,17 @@ moves time forward. When an actor yields and nothing else is due at or
 before its resume time (the FIFO is empty and the heap is empty or its head
 is strictly later), it would be the next to run anyway, so it is resumed in
 place, with no heap push or pop. Either way the order is that of one heap
-ordered by time and submission, and `events_processed` counts every
-resumption.
+ordered by time and submission.
+
+`resumes_in_place(at)` asks that same question from inside a step, for an
+actor about to yield until `at`. A step that knows the answer is yes may do
+the work of that yield and of the resumed actor's next step itself and move
+`now` to `at`; `_run` picks up a clock moved inside a step. The IO engine
+serves a buffer hit this way in the submitting client's step
+(`IoEngine.submit_inline`), which leaves virtual time and every heap
+sequence number as they would be. So `events_processed` counts the
+resumptions that ran, not the ones such a step stood in for, and that work
+uses no pump budget.
 """
 
 import heapq
@@ -91,6 +100,7 @@ class Scheduler:
         self._ready = deque()
         self._seq = itertools.count()
         self.events_processed = 0
+        self._target = None               # the event `_run` runs towards
 
     def event(self):
         return Event(self)
@@ -112,8 +122,27 @@ class Scheduler:
         actor.error = error
         actor.done_event.fire(result)
 
+    def resumes_in_place(self, at):
+        """Whether `_run` would resume the running actor in place if it
+        yielded now to resume at `at`: nothing is due by `at` and the event
+        being run towards has not fired. The pump budget is not consulted.
+        False outside `_run`."""
+        target = self._target
+        if target is None or target.fired or self._ready:
+            return False
+        heap = self._heap
+        return not heap or heap[0][0] > at
+
     def _run(self, event, max_events):
         """The one step loop: resume actors until `event` fires."""
+        outer = self._target
+        self._target = event
+        try:
+            return self._steps(event, max_events)
+        finally:
+            self._target = outer
+
+    def _steps(self, event, max_events):
         heap = self._heap
         ready = self._ready
         heappop = heapq.heappop
@@ -141,11 +170,13 @@ class Scheduler:
                 try:
                     yielded = send(None)
                 except StopIteration as stop:
+                    now = self.now
                     self._finish(actor, stop.value)
                     break
                 except Exception as exc:
                     self._finish(actor, error=exc)
                     raise ActorFailed(actor, exc) from exc
+                now = self.now                # the step may have moved it
                 if type(yielded) is int:
                     at = now + yielded if yielded > 0 else now
                 elif isinstance(yielded, Event):

@@ -42,6 +42,7 @@ framing (`oob.pack_sections`). Loading only parses bytes; any malformed image,
 
 import struct
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 from . import oob
 from .errors import (AddressError, BadBlockError, ConfigurationError,
@@ -109,8 +110,10 @@ class FlashGeometry:
         return PageAddress(blk // self.blocks_per_bank, blk % self.blocks_per_bank, page)
 
 
-@dataclass(frozen=True)
-class PageAddress:
+class PageAddress(NamedTuple):
+    """A page's place on the card. Immutable and hashable; as a named
+    tuple it also equals the plain tuple `(bank, block, page)`."""
+
     bank: int
     block: int
     page: int
@@ -191,6 +194,10 @@ class SimFlashDevice:
         self.geometry = geometry.validate()
         self.model = (model or LatencyModel()).validate()
         g = self.geometry
+        # address limits as plain ints (`num_banks` is a computed property)
+        self._num_banks = g.num_banks
+        self._blocks_per_bank = g.blocks_per_bank
+        self._pages_per_block = g.pages_per_block
         # None until the block is first touched (see _block)
         self._banks = [[None] * g.blocks_per_bank for _ in range(g.num_banks)]
         self._bad_blocks = set()
@@ -218,13 +225,12 @@ class SimFlashDevice:
     # ---- addressing / validation -------------------------------------
 
     def _check_block(self, bank, block):
-        g = self.geometry
-        if not (0 <= bank < g.num_banks and 0 <= block < g.blocks_per_bank):
+        if not (0 <= bank < self._num_banks and 0 <= block < self._blocks_per_bank):
             raise AddressError(f"bank {bank} block {block} out of range")
 
     def _check_addr(self, addr):
         self._check_block(addr.bank, addr.block)
-        if not (0 <= addr.page < self.geometry.pages_per_block):
+        if not (0 <= addr.page < self._pages_per_block):
             raise AddressError(f"page {addr.page} out of range")
 
     def _block(self, bank, block):

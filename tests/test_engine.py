@@ -205,3 +205,45 @@ def test_os_threads_share_one_engine():
             assert eng.read_sector(lsn) == data
     assert eng.gc.stats.blocks_collected > 0
     eng.shutdown(clean=True)
+
+
+# ---- engine construction leaves the caller's objects alone --------------------
+
+def _reused_config_run(cfg):
+    eng = Engine.start(cfg)
+    for i in range(600):
+        lsn = (i * 7) % (eng.io.num_sectors // 4)
+        eng.write_sector(lsn, sector_payload(("reuse", i), eng.io.sector_size))
+    eng.flush()
+    resolved = (eng.io.params, eng.gc.policy)
+    stats = eng.stats()
+    eng.shutdown(clean=True)
+    return resolved, stats
+
+
+def test_engine_start_resolves_defaults_into_its_own_copies():
+    params = EngineParams(num_queues=4, num_buffers=8)
+    policy = GcPolicy(kind="PLLGC_ADAPTIVE", max_gc_threads=4)
+    cfg = EngineConfig(profile="tiny", io=params, policy=policy, seed=5)
+    before = (repr(params), repr(policy))
+    (tiny_params, tiny_policy), _ = _reused_config_run(cfg)
+    assert (repr(params), repr(policy)) == before
+    assert tiny_params.buffer_size == 2048
+    assert tiny_policy.adaptive_map == [(0, 1, 4), (2, 2, 2), (3, 3, 1), (4, 4, 1)]
+    assert tiny_policy.panic_free_blocks == 1
+
+    # the same objects serve a 64-queue desk8 engine, as fresh ones would
+    cfg.profile = "desk8"
+    params.num_queues = 64
+    before = (repr(params), repr(policy))
+    reused = _reused_config_run(cfg)
+    assert (repr(params), repr(policy)) == before
+    fresh = _reused_config_run(EngineConfig(
+        profile="desk8", io=EngineParams(num_queues=64, num_buffers=8),
+        policy=GcPolicy(kind="PLLGC_ADAPTIVE", max_gc_threads=4), seed=5))
+    assert reused == fresh
+    (desk_params, desk_policy), _ = reused
+    assert desk_params.buffer_size == 4096
+    assert desk_policy.adaptive_map == [(0, 16, 4), (17, 32, 2), (33, 48, 1),
+                                        (49, 64, 1)]
+    assert desk_policy.panic_free_blocks == 2

@@ -5,6 +5,7 @@ import pytest
 
 from bankftl.errors import ConfigurationError, EngineStateError
 from bankftl.ftl_state import UNMAPPED, BankInfo, FtlState
+from bankftl.gc_engine import GcPolicy
 from bankftl.io_engine import EngineParams, IoEngine, IoRequest
 from bankftl.sched import Event, Scheduler
 from bankftl.sim_flash import PROFILES, SimFlashDevice
@@ -447,3 +448,236 @@ def test_clean_shutdown_joins_workers_parked_on_rearmed_wakes():
     eng.shutdown(clean=True)
     assert all(w.done for w in workers)
     assert eng.io._wake == [None] * 4
+
+
+# ---- buffer hits served in the waiting caller's step --------------------------
+#
+# `submit_inline` must leave every observable exactly as the queued path
+# would: each scenario runs twice, once as is and once with `submit_inline`
+# replaced by a plain `submit`, and the two snapshots must be equal.
+
+def _queued_only(monkeypatch):
+    def submit_inline(self, req):
+        self.submit(req)
+        return False
+    monkeypatch.setattr(IoEngine, "submit_inline", submit_inline)
+
+
+def _counting_inline(monkeypatch, served):
+    inline = IoEngine.submit_inline
+
+    def submit_inline(self, req):
+        took = inline(self, req)
+        served.append(took)
+        return took
+    monkeypatch.setattr(IoEngine, "submit_inline", submit_inline)
+
+
+def _snapshot(eng, records):
+    io = eng.io
+    return {
+        "records": records,
+        "now": eng.sched.now,
+        "free_at": list(eng.cores.free_at),
+        "last_work_us": list(io.last_work_us),
+        "busy": list(io._busy),
+        "active_workers": io.active_workers,
+        "io": dict(io.counters),
+        "gc": dict(vars(eng.gc.stats)),
+        "device": eng.device.device_stats(),
+        "request_log": list(eng.device.request_log),
+        "error_log": list(io.error_log),
+        "slots": [(s.lpn, s.dirty, s.last_access, bytes(s.data))
+                  for s in io.slots],
+        "full_q": list(io.full_q),
+        "map": eng.state.map.tobytes(),
+        "audit": eng.audit(),
+        "heap": [(at, seq) for at, seq, _ in sorted(eng.sched._heap)],
+    }
+
+
+def _mixed_client(eng, rng, tid, ops, sync_sectors, region, hot, records):
+    """Reads and writes; waits at once on a request that completes a sync
+    unit alone (`submit_inline`), otherwise on the batch."""
+    sched = eng.sched
+    pending = []
+    for i in range(ops):
+        pool = hot if rng.random() < 0.75 else region
+        lsn = rng.choice(pool) * SPP + rng.randrange(SPP)
+        if rng.random() < 0.35:
+            req = IoRequest("read", lsn)
+        else:
+            req = IoRequest("write", lsn, sector_payload((tid, i), SECTOR))
+        entry = [tid, i, req.kind, lsn, sched.now]
+        if not pending and sync_sectors == 1:
+            if not eng.io.submit_inline(req):
+                yield req
+            pending_done = [(req, entry)]
+        else:
+            eng.io.submit(req)
+            pending.append((req, entry))
+            if len(pending) < sync_sectors:
+                continue
+            pending_done, pending = pending, []
+        for done, row in pending_done:
+            if not done.fired:
+                yield done
+            row += [sched.now, done.result, repr(done.error)]
+            records.append(row)
+        if rng.random() < 0.3:
+            yield rng.choice((0, 0, 1, 4, 10, 11, 37))
+
+
+def _mixed_run(policy_kind, seed):
+    rng = random.Random(seed)
+    eng = tiny_engine(policy=GcPolicy(kind=policy_kind, max_gc_threads=2),
+                      queues=rng.choice((2, 4)), buffers=rng.choice((2, 3, 5)),
+                      seed=seed)
+    eng.device.enable_request_log()
+    region = list(range(eng.state.num_lpns * 3 // 4))
+    records = []
+    clients = []
+    for tid in range(rng.randrange(2, 5)):
+        hot = rng.sample(region, 3)
+        sync = 1 if tid % 2 == 0 else rng.choice((1, SPP))
+        clients.append(eng.sched.spawn(_mixed_client(
+            eng, random.Random(seed * 100 + tid), tid, 600, sync, region, hot,
+            records), f"client-{tid}"))
+    for actor in clients:
+        eng.pump(actor.done_event)
+    snap = _snapshot(eng, records)
+    eng.shutdown(clean=True)
+    return snap
+
+
+@pytest.mark.parametrize("policy_kind", ["NPGC", "PLLGC", "PLLGC_ADAPTIVE"])
+def test_served_hits_match_the_queued_path(monkeypatch, policy_kind):
+    collected = 0
+    for seed in range(3):
+        served = []
+        with monkeypatch.context() as m:
+            _counting_inline(m, served)
+            got = _mixed_run(policy_kind, seed)
+        with monkeypatch.context() as m:
+            _queued_only(m)
+            want = _mixed_run(policy_kind, seed)
+        assert got == want, f"{policy_kind} seed {seed}"
+        assert served.count(True) >= 30, "the path was hardly taken"
+        assert served.count(False) >= 30
+        collected += got["gc"]["blocks_collected"]
+        assert got["io"]["evictions"] and got["io"]["merges"]
+        assert got["io"]["read_hits"] and got["io"]["cache_hits"]
+    assert collected > 0
+
+
+# Directed cases: a parked worker and a buffered sector, so that only the
+# one condition named by each case keeps the request off the served path.
+
+def _directed_run(sleep_until=None, setup=None, payload=None):
+    """Buffers LPN 0, then a client sleeps 50 us, runs `setup(eng, ctx)`
+    and submits a write hit to sector 1 with `submit_inline`. With
+    `sleep_until`, another actor is due that many us after the charge's
+    start (when the client submits). Returns (served, snapshot)."""
+    eng = tiny_engine(policy=GcPolicy(kind="NPGC"), queues=2, buffers=4)
+    eng.device.enable_request_log()
+    wsec(eng, 0)
+    cpu_us = eng.io.params.cpu_us
+    assert eng.sched._heap[0][0] > eng.sched.now + 50 + 2 * cpu_us
+    ctx = {"pumped": eng.sched.event(), "finished": eng.sched.event()}
+    records = []
+
+    def sleeper():
+        yield 50 + sleep_until
+
+    def client():
+        yield 50
+        if setup is not None:
+            setup(eng, ctx)
+        req = IoRequest("write", 1, payload or sector_payload("hit", SECTOR))
+        start = eng.sched.now
+        ctx["served"] = eng.io.submit_inline(req)
+        if not ctx["served"]:
+            yield req
+        records.append((eng.sched.now - start, req.result, repr(req.error)))
+        ctx["pumped"].fire()
+        ctx["finished"].fire()
+
+    if sleep_until is not None:
+        eng.sched.spawn(sleeper(), "sleeper")
+    eng.sched.spawn(client(), "client")
+    eng.pump(ctx["pumped"])
+    eng.pump(ctx["finished"])
+    snap = _snapshot(eng, records)
+    eng.shutdown(clean=True)
+    return ctx["served"], snap
+
+
+def _fire_pumped(eng, ctx):
+    ctx["pumped"].fire()
+
+
+def _spawn_other(eng, ctx):
+    def other():
+        yield 0
+    eng.sched.spawn(other(), "other")
+
+
+def _busy_cores(eng, ctx):
+    for _ in eng.cores.free_at:
+        eng.cores.charge(5)              # every core busy for 5 more us
+
+
+CPU = EngineParams().cpu_us
+
+DIRECTED = {
+    # (sleep_until, setup, payload) -> served?
+    "heap-due-at-charge-end": ((CPU, None, None), False),
+    "heap-due-after-charge-end": ((CPU + 1, None, None), True),
+    "pumped-event-fired": ((None, _fire_pumped, None), False),
+    "actor-in-fifo": ((None, _spawn_other, None), False),
+    "busy-cores-heap-due-in-wait": ((CPU + 3, _busy_cores, None), False),
+    "busy-cores-heap-due-at-end": ((CPU + 5, _busy_cores, None), False),
+    "busy-cores-nothing-due": ((CPU + 6, _busy_cores, None), True),
+    "wrong-size-payload": ((None, None, b"abc"), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIRECTED))
+def test_directed_submit_inline_cases(monkeypatch, case):
+    args, want_served = DIRECTED[case]
+    served, got = _directed_run(*args)
+    with monkeypatch.context() as m:
+        _queued_only(m)
+        _, want = _directed_run(*args)
+    assert served is want_served
+    assert got == want
+    took, result, error = got["records"][0]
+    if case == "wrong-size-payload":
+        assert result is None and "AddressError" in error
+    else:
+        assert result is True and error == "None"
+        assert took == CPU + (5 if "busy" in case else 0)
+
+
+def test_submit_inline_queues_misses_and_busy_workers():
+    eng = tiny_engine(queues=1, buffers=4)
+    io = eng.io
+
+    def client():
+        miss = IoRequest("write", 5 * SPP, sector_payload("miss", SECTOR))
+        assert not io.submit_inline(miss)    # no buffer for LPN 5 yet
+        yield miss
+        hit = IoRequest("read", 5 * SPP)
+        assert io.submit_inline(hit) and hit.result == sector_payload("miss", SECTOR)
+        absent = IoRequest("read", 5 * SPP + 1)
+        assert not io.submit_inline(absent)  # not dirty in the buffer
+        first = io.submit(IoRequest("read", 5 * SPP))
+        busy = IoRequest("read", 5 * SPP)
+        assert not io.submit_inline(busy)    # the worker has a queue
+        yield busy
+        assert first.fired and busy.result == hit.result
+        yield absent
+        assert absent.result == b"\x00" * SECTOR
+
+    eng.pump(eng.sched.spawn(client(), "client").done_event)
+    eng.shutdown(clean=True)

@@ -234,7 +234,9 @@ def program_actor(sched, events, trace, name, ops):
         trace.append((sched.now, name))
 
 
-def run_scenario(sched, seed):
+def run_scenario(sched, seed, actor=program_actor, budgets=True):
+    """One random scenario; `actor` runs the programs, and without
+    `budgets` every pump runs unbounded."""
     rng = random.Random(seed)
     n_events = rng.randrange(2, 7)
     roots = [random_program(rng, n_events) for _ in range(rng.randrange(1, 7))]
@@ -243,6 +245,8 @@ def run_scenario(sched, seed):
     first, second = rng.randrange(n_events), rng.randrange(n_events)
     first_budget = rng.choice((1, 2, 3, 5, 8, 200_000_000))
     idle_budget = rng.choice((4, 200_000_000))
+    if not budgets:
+        first_budget = idle_budget = 200_000_000
 
     trace, outcomes = [], []
     events = [sched.event() for _ in range(n_events)]
@@ -250,7 +254,7 @@ def run_scenario(sched, seed):
         if fired:
             ev.fire("pre")
     for i, ops in enumerate(roots):
-        sched.spawn(program_actor(sched, events, trace, f"a{i}", ops), f"a{i}")
+        sched.spawn(actor(sched, events, trace, f"a{i}", ops), f"a{i}")
 
     def attempt(run):
         try:
@@ -259,7 +263,7 @@ def run_scenario(sched, seed):
             outcomes.append(("hang", str(exc), sched.now, sched.events_processed))
 
     attempt(lambda: sched.pump(events[first], first_budget))
-    sched.spawn(program_actor(sched, events, trace, "late", late), "late")
+    sched.spawn(actor(sched, events, trace, "late", late), "late")
     attempt(lambda: sched.pump(events[second]))
     attempt(lambda: sched.run_until_idle(idle_budget))
     attempt(sched.run_until_idle)
@@ -298,3 +302,151 @@ def test_pump_return_requeues_the_actor_it_was_resuming():
         sched.run_until_idle()
         assert seen == [("b", 5), ("a", 5)]
         assert sched.events_processed == 5
+
+
+# ---- the in-place predicate and a clock moved inside a step ------------------
+
+def _resume_at(sched, op, arg, events):
+    """Where `_run` would put an actor yielding this op now; None when it
+    parks on an unfired event."""
+    if op == "sleep":
+        return sched.now + max(0, int(arg))
+    return sched.now if events[arg].fired else None
+
+
+class DecisionScheduler(Scheduler):
+    """Notes every actor `_run` requeues after a yield, and which
+    predicate record a budget hang cut short."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.requeued = set()
+        self.decisions = []           # [predicate, resumed in place]
+        self.last_yield = None
+
+    def _schedule(self, actor, at):
+        self.requeued.add(actor.name)
+        super()._schedule(actor, at)
+
+    def _run(self, event, max_events):
+        try:
+            return super()._run(event, max_events)
+        except SchedulerHang as exc:
+            # the budget ran out right after the last yield: that actor was
+            # requeued although nothing else was due
+            if "budget" in str(exc) and self.last_yield is not None:
+                self.decisions.remove(self.last_yield)
+            raise
+
+
+def deciding_actor(sched, events, trace, name, ops):
+    """`program_actor` that asks `resumes_in_place` before each yield and
+    checks, on resumption, whether `_run` resumed it in place."""
+    trace.append((sched.now, name))
+    children = 0
+    for op, arg in ops:
+        if op == "fire":
+            events[arg].fire(name)
+            continue
+        if op == "spawn":
+            child = f"{name}.{children}"
+            children += 1
+            sched.spawn(deciding_actor(sched, events, trace, child, arg), child)
+            continue
+        at = _resume_at(sched, op, arg, events)
+        record = None
+        if at is not None:
+            record = [sched.resumes_in_place(at), None]
+            sched.decisions.append(record)
+            sched.requeued.discard(name)
+        sched.last_yield = record
+        yield arg if op == "sleep" else events[arg]
+        sched.last_yield = None
+        if record is not None:
+            record[1] = name not in sched.requeued
+        trace.append((sched.now, name))
+
+
+def test_in_place_predicate_matches_run_at_every_yield():
+    decisions = []
+    for seed in range(400):
+        sched = DecisionScheduler(seed)
+        got = run_scenario(sched, seed, actor=deciding_actor)
+        assert got == run_scenario(HeapScheduler(), seed), f"seed {seed}"
+        for predicted, in_place in sched.decisions:
+            if in_place is not None:          # None: never resumed
+                assert predicted == in_place, f"seed {seed}"
+                decisions.append(in_place)
+    assert decisions.count(True) > 500 and decisions.count(False) > 500
+
+
+def moving_actor(sched, events, trace, name, ops):
+    """`program_actor` that, where `_run` would resume it in place after a
+    sleep, moves the clock itself and goes on in the same step."""
+    trace.append((sched.now, name))
+    children = 0
+    for op, arg in ops:
+        if op == "fire":
+            events[arg].fire(name)
+            continue
+        if op == "spawn":
+            child = f"{name}.{children}"
+            children += 1
+            sched.spawn(moving_actor(sched, events, trace, child, arg), child)
+            continue
+        at = _resume_at(sched, op, arg, events)
+        if op == "sleep" and sched.resumes_in_place(at):
+            sched.moved += 1
+            sched.now = at
+        else:
+            yield arg if op == "sleep" else events[arg]
+        trace.append((sched.now, name))
+
+
+def test_clock_moved_inside_a_step_gives_the_yield_trace():
+    moved = 0
+    for seed in range(400):
+        sched = Scheduler(seed)
+        sched.moved = 0
+        trace, outcomes, steps, now = run_scenario(
+            sched, seed, actor=moving_actor, budgets=False)
+        want_trace, want_outcomes, want_steps, want_now = run_scenario(
+            Scheduler(seed), seed, budgets=False)
+        assert (trace, now) == (want_trace, want_now), f"seed {seed}"
+        # the same outcomes, each having run fewer resumptions
+        assert [o[:3] for o in outcomes] == [o[:3] for o in want_outcomes]
+        assert steps == want_steps - sched.moved
+        moved += sched.moved
+    assert moved > 500
+
+
+def test_pump_target_is_cleared_when_a_pump_fails():
+    sched = Scheduler(0)
+    assert sched._target is None and not sched.resumes_in_place(0)
+    seen = []
+
+    def watcher():
+        seen.append(sched.resumes_in_place(sched.now + 1))
+        yield 5
+
+    sched.spawn(watcher(), "w")
+    with pytest.raises(SchedulerHang):
+        sched.pump(sched.event())
+    assert seen == [True] and sched._target is None
+
+    def spinner():
+        while True:
+            yield 1
+
+    sched.spawn(spinner(), "spin")
+    with pytest.raises(SchedulerHang):
+        sched.pump(sched.event(), max_events=10)
+    assert sched._target is None and not sched.resumes_in_place(sched.now)
+
+    def boom():
+        yield 1
+        raise ValueError("nope")
+
+    with pytest.raises(ActorFailed):
+        sched.join(sched.spawn(boom(), "boom"))
+    assert sched._target is None and not sched.resumes_in_place(sched.now)

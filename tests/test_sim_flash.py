@@ -674,3 +674,51 @@ def test_header_pages_are_stored_in_a_few_bytes_per_unit():
     finally:
         tracemalloc.stop()
     assert held < 2 * 2**20
+
+
+def test_page_address_is_an_immutable_named_tuple():
+    addr = PageAddress(1, 2, 3)
+    assert repr(addr) == "PageAddress(bank=1, block=2, page=3)"
+    assert (addr.bank, addr.block, addr.page) == (1, 2, 3)
+    assert addr == PageAddress(1, 2, 3) == (1, 2, 3)
+    assert len({addr, PageAddress(1, 2, 3)}) == 1
+    with pytest.raises(AttributeError):
+        addr.page = 4
+    assert TINY.split_ppn(TINY.ppn(3, 15, 7)) == PageAddress(3, 15, 7)
+
+
+@pytest.mark.parametrize("geometry", [TINY, PROFILES["desk8"]],
+                         ids=["tiny", "desk8"])
+def test_every_out_of_range_address_is_rejected(geometry):
+    g = geometry
+    banks = (-g.num_banks - 1, -1, g.num_banks, g.num_banks + 1)
+    blocks = (-g.blocks_per_bank, -1, g.blocks_per_bank, g.blocks_per_bank + 5)
+    pages = (-g.pages_per_block, -1, g.pages_per_block, 2 * g.pages_per_block)
+    data = b"\x01" * g.page_size
+    dev = SimFlashDevice(g)
+    bad_pairs = ([(b, 0) for b in banks] + [(0, blk) for blk in blocks]
+                 + [(b, blk) for b in banks for blk in blocks])
+    for bank, block in bad_pairs:
+        for call in (lambda: dev.erase_block(bank, block),
+                     lambda: dev.block_state(bank, block),
+                     lambda: dev.written_prefix(bank, block),
+                     lambda: dev.write_page(PageAddress(bank, block, 0), data),
+                     lambda: dev.read_page(PageAddress(bank, block, 0)),
+                     lambda: dev.corrupt_spare(PageAddress(bank, block, 0)),
+                     lambda: SimFlashDevice(g, bad_blocks=[(bank, block)])):
+            with pytest.raises(AddressError):
+                call()
+    last = (g.num_banks - 1, g.blocks_per_bank - 1)
+    for bank, block in ((0, 0), last):
+        for page in pages:
+            addr = PageAddress(bank, block, page)
+            for call in (lambda: dev.write_page(addr, data),
+                         lambda: dev.read_page(addr),
+                         lambda: dev.corrupt_spare(addr)):
+                with pytest.raises(AddressError):
+                    call()
+    # nothing was touched, and the corners still serve
+    assert dev.device_stats().requests_accepted == 0
+    for bank, block in ((0, 0), last):
+        dev.write_page(PageAddress(bank, block, 0), data)
+        assert dev.read_page(PageAddress(bank, block, 0))[0] == data
