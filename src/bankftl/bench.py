@@ -175,10 +175,8 @@ def _client_actor(eng, spec, tid, samples, thread_sums, errors):
             yield spec.think_large_us
 
 
-def run(spec, config, policy=None):
+def run(spec, config):
     """Drive a workload through a fresh engine; clean shutdown afterwards."""
-    if policy is not None:
-        config.policy = policy
     eng = Engine.start(config)
     try:
         report = drive(eng, spec)
@@ -426,7 +424,6 @@ def run_preset(name, seed=0, policy=None, queues=None):
 
 def run_queue_scaling(seed=0, queue_counts=(1, 2, 4, 8, 16, 32, 64)):
     """Throughput sweep; returns [(num_queues, MB_per_s_of_simulated_time)]."""
-    bundle = preset("queue-scaling", seed)
     out = []
     for q in queue_counts:
         report = run_preset("queue-scaling", seed=seed, queues=q)

@@ -5,18 +5,20 @@ state via the checkpoint chain or the page-level recovery scan, and launches
 the worker actors. The handle exposes asynchronous submit plus synchronous
 sector read/write/flush wrappers that pump the virtual clock until the
 request completes, merged counters, quiesced audits, and clean/dirty
-shutdown. A clean shutdown drains the queues, flushes every buffer, saves
+shutdown. A clean shutdown drains the queues, stops the collectors, flushes
+every buffer (writers then collect inline, whatever the GC policy), saves
 the checkpoint chain and optionally persists the flash image; a dirty one
-drops the buffers cold to emulate a crash.
+drops the buffers cold to emulate a crash. The GC policy itself is known
+only to the GC controller.
 """
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .checkpoint import Checkpointer
 from .errors import CheckpointError, ConfigurationError, EngineStateError
 from .ftl_state import FtlState
-from .gc_engine import GcController, GcPolicy, default_adaptive_map, default_levels
+from .gc_engine import GcController, GcPolicy, default_levels
 from .io_engine import EngineParams, IoEngine, IoRequest
 from .sched import ActorFailed, CorePool, Scheduler
 from .sim_flash import PROFILES, LatencyModel, SimFlashDevice
@@ -30,7 +32,7 @@ class EngineConfig:
     bad_blocks: tuple = ()
     image_path: str = None
     io: EngineParams = field(default_factory=EngineParams)
-    policy: GcPolicy = field(default_factory=lambda: GcPolicy(kind="PLLGC"))
+    policy: GcPolicy = field(default_factory=GcPolicy)
     levels: list = None
     checkpoint_k: int = 4
     export_ratio: float = 0.875
@@ -88,20 +90,14 @@ class Engine:
         self.ckpt = Checkpointer(self.sched, self.device, self.state,
                                  config.checkpoint_k)
         self.io = IoEngine(self.sched, self.device, self.state, config.io)
-        policy = config.policy
-        if policy.kind == "PLLGC_ADAPTIVE" and policy.adaptive_map is None:
-            # resolved in the engine's own copy: the caller's policy may
-            # serve another engine with another queue count
-            policy = replace(policy, adaptive_map=default_adaptive_map(
-                config.io.num_queues, policy.max_gc_threads))
-        self.gc = GcController(self.sched, self.device, self.state, policy,
-                               config.levels or default_levels(self.device.geometry))
-        self.gc.io_activity = lambda: self.io.recent_active(
-            policy.activity_window_us, self.sched.now)
+        self.gc = GcController(self.sched, self.device, self.state, config.policy,
+                               config.levels or default_levels(self.device.geometry),
+                               io_workers=config.io.num_queues)
+        window_us = self.gc.policy.activity_window_us
+        self.gc.io_activity = lambda: self.io.recent_active(window_us, self.sched.now)
         self.io.cores = self.cores
         self.gc.cores = self.cores
         self.io.gc = self.gc
-        self.io.policy_kind = config.policy.kind
         self.live = False
         self.recovered_via = "fresh"
         self._pump_lock = threading.RLock()
@@ -122,9 +118,7 @@ class Engine:
                 eng.run(eng.ckpt.recovery_scan())
                 eng.recovered_via = "recovery_scan"
             eng.run(eng.ckpt.ensure_free_pool())
-        eng.io.running = True
         eng._workers = eng.io.start_workers()
-        eng.gc.running = True
         eng.gc.start()
         eng._daemon = eng.sched.spawn(eng.io.flush_daemon_loop(), "flush-daemon")
         eng.live = True
@@ -152,14 +146,9 @@ class Engine:
                 self.sched.join(actor)
         if self._daemon is not None and not self._daemon.done:
             self.sched.join(self._daemon)
-        # collector actors are gone; the final flush reclaims inline if the
-        # card is tight, whatever the serving-time policy was
-        serving_kind = self.io.policy_kind
-        self.io.policy_kind = "NPGC"
-        try:
-            self.run(self.io.flush_all())
-        finally:
-            self.io.policy_kind = serving_kind
+        # collectors are stopped, so the final flush reclaims inline if the
+        # card is tight
+        self.run(self.io.flush_all())
         try:
             head = self.run(self.ckpt.save())
         except CheckpointError as exc:

@@ -1,10 +1,9 @@
 """In-memory FTL tables.
 
-Seven structures cooperate: the page map (one 4-byte entry per exported
+Six structures cooperate: the page map (one 4-byte entry per exported
 logical page), the per-bank free-block bitmap, per-block valid-page bitmaps
-and counts, per-bank counters and flags, the GC victim index, the buffer
-lookup table, and the per-LPN buffer-allocation claim bitmap. A monotone
-sequence counter stamps every flushed page's spare.
+and counts, per-bank counters and flags, the GC victim index, and the buffer
+lookup table. A monotone sequence counter stamps every flushed page's spare.
 
 The victim index keeps, for each bank, one bucket per valid-page count
 (0..pages_per_block) holding the bank's occupied blocks (neither free nor
@@ -16,10 +15,10 @@ victim choice skips it. Code that writes the arrays directly calls
 
 Every caller is an actor on one cooperative scheduler, and each method runs
 to completion within one scheduler step, so no method takes a lock. The
-exclusions that must outlast a virtual wait are explicit state: the per-LPN
-claim bits and each bank's `gc_active`, `exclusive_gc` and `writers_active`.
-OS threads reach these tables only through the `Engine` facade, whose pump
-lock admits one at a time. audit() needs a quiescent engine.
+exclusions that must outlast a virtual wait are explicit state: each bank's
+`gc_active`, `exclusive_gc` and `writers_active`. OS threads reach these
+tables only through the `Engine` facade, whose pump lock admits one at a
+time. audit() needs a quiescent engine.
 """
 
 import numpy as np
@@ -64,7 +63,7 @@ class FtlState:
         # buffer lookup: slot -> lpn (or None); reverse index for O(1) search
         self.buf_lookup = [None] * num_buffers
         self._lpn_to_slot = {}
-        self.alloc_claims = np.zeros(self.num_lpns, dtype=bool)
+        self._claims = set()
         self._seq = 0
         self.recount()
 
@@ -280,7 +279,7 @@ class FtlState:
         self.mark_invalid_total = 0
         self.buckets, self.bucket_bits = self._index_from_arrays()
 
-    # ---- buffer lookup / allocation claims --------------------------------
+    # ---- buffer lookup ------------------------------------------------------
 
     def buf_find(self, lpn):
         """The slot holding lpn, or None. buf_set keeps this index and
@@ -297,14 +296,17 @@ class FtlState:
             self._lpn_to_slot[lpn] = slot
 
     def try_claim_alloc(self, lpn):
+        """Claim lpn; False when it is already claimed. The write path installs
+        a buffer in one step and takes no claim; this pair stays because the
+        benchmark's tracer wraps it by name."""
         self._check_lpn(lpn)
-        if self.alloc_claims[lpn]:
+        if lpn in self._claims:
             return False
-        self.alloc_claims[lpn] = True
+        self._claims.add(lpn)
         return True
 
     def release_alloc(self, lpn):
-        self.alloc_claims[lpn] = False
+        self._claims.discard(lpn)
 
     # ---- sequence numbers ---------------------------------------------------
 

@@ -17,11 +17,15 @@ in where the copies go. A copy keeps its source's sequence number (it is the
 same logical version) and is remapped with a compare-and-swap, so a racing
 user rewrite wins and the stale copy is simply left invalid.
 
-Three invocation policies: NPGC runs collection inline in the write path when
+One collection step (`_collect_step`: level, scan charge, victim, collect)
+runs under three invocation policies, and this module is the only one that
+knows which is in force. NPGC runs the step inline in the write path when
 the chosen bank is short on free blocks; PLLGC runs co-running collector
-actors that claim idle banks; the adaptive variant adds a master collector
-that throttles how many collectors are awake based on how many IO workers are
-busy, and bars writers from the single most-starved bank (exclusiveGC).
+actors that claim idle banks; under the adaptive variant collector 0 is also
+the master: before each round it throttles how many collectors are awake by
+how many IO workers are busy, and bars writers from the single most-starved
+bank (exclusiveGC). Once the collectors are stopped, writers collect inline
+under every policy, so the final flush of a clean shutdown can still reclaim.
 """
 
 from dataclasses import dataclass, replace
@@ -122,7 +126,8 @@ class GcStats:
 class GcPolicy:
     kind: str = "PLLGC"            # NPGC | PLLGC | PLLGC_ADAPTIVE
     max_gc_threads: int = 1
-    adaptive_map: list = None      # [(lo_io, hi_io, permitted)], any order
+    adaptive_map: list = None      # [(lo_io, hi_io, permitted)], any order;
+                                   # default: default_adaptive_map
     idle_poll_us: int = 500
     master_tick_us: int = 200
     activity_window_us: int = 1000
@@ -131,7 +136,6 @@ class GcPolicy:
     scan_cpu_us: int = 40          # host CPU per victim scan of one bank
     panic_free_blocks: int = None  # default: half the deepest level threshold
     panic_hysteresis: int = 2
-    max_npgc_rounds: int = 0       # 0 = until the bank exits its thresholds
 
     def permitted_for(self, active_io):
         for lo, hi, permitted in self.adaptive_map:
@@ -141,7 +145,10 @@ class GcPolicy:
 
 
 class GcController:
-    def __init__(self, sched, device, state, policy, levels=None):
+    """Runs the collection step under `policy`. `io_workers` is the IO worker
+    count the default adaptive map is banded over."""
+
+    def __init__(self, sched, device, state, policy, levels=None, io_workers=1):
         self.sched = sched
         self.device = device
         self.state = state
@@ -152,20 +159,24 @@ class GcController:
         for i, lvl in enumerate(self.levels):
             reach = min(max(lvl.free_threshold + 1, 0), len(self._level_of_free))
             self._level_of_free[:reach] = [i] * reach
-        if policy.panic_free_blocks is None:      # in the controller's own copy
+        # defaults are resolved in the controller's own copy: the caller's
+        # policy may serve another engine with another queue count
+        if policy.panic_free_blocks is None:
             policy = replace(policy, panic_free_blocks=max(
                 1, self.levels[-1].free_threshold // 2))
+        if policy.adaptive_map is None:
+            policy = replace(policy, adaptive_map=default_adaptive_map(
+                io_workers, policy.max_gc_threads))
         self.policy = policy
         self.stats = GcStats()
         self.log = []                 # (ts_us, event, bank, block)
         self.running = False
         self.cores = None             # host CorePool, wired by the facade
-        self.io_activity = lambda: 0  # wired to engine.active_workers
+        self.io_activity = lambda: 0  # wired to IoEngine.recent_active
         self.permitted = policy.max_gc_threads
         self._paused = {}             # tid -> wake event
         self._actors = []
         self.active_threads = 0
-        self.max_observed_active = 0
 
     def _note(self, event, bank, block=-1):
         self.log.append((self.sched.now, event, bank, block))
@@ -244,7 +255,31 @@ class GcController:
         self.stats.busy_us += self.sched.now - t0
         return self.stats.delta(before)
 
+    def _collect_step(self, bank):
+        """One greedy collection of a claimed bank: at its current level,
+        charge the scan, pick the victim and collect it. Returns the stats
+        delta, or None when the bank breaches no threshold, no victim
+        qualifies, or the bank had no room to stage the victim's copies."""
+        level = self.current_level(bank)
+        if level is None:
+            return None
+        if self.cores:
+            yield self.cores.charge(self.policy.scan_cpu_us)
+        victim = self.select_victim(bank, level)
+        if victim is None:
+            return None
+        delta = yield from self.collect_block(bank, victim)
+        if delta.blocks_collected or delta.valid_pages_copied or delta.wasted_copies:
+            return delta
+        return None
+
     # ---- NPGC (inline, write path) ----------------------------------------------
+
+    @property
+    def inline(self):
+        """Whether writers collect before they write: always under NPGC, and
+        under every policy once the collectors are stopped."""
+        return self.policy.kind == "NPGC" or not self.running
 
     def npgc_before_write(self, bank):
         """Collect the bank until it exits its highest breached threshold (or
@@ -258,20 +293,10 @@ class GcController:
             return
         try:
             rounds = 0
-            cap = self.policy.max_npgc_rounds or self.device.geometry.blocks_per_bank
-            while rounds < cap:
-                level = self.current_level(bank)
-                if level is None:
+            while rounds < self.device.geometry.blocks_per_bank:
+                delta = yield from self._collect_step(bank)
+                if delta is None:
                     break
-                if self.cores:
-                    yield self.cores.charge(self.policy.scan_cpu_us)
-                victim = self.select_victim(bank, level)
-                if victim is None:
-                    break
-                delta = yield from self.collect_block(bank, victim)
-                if not (delta.blocks_collected or delta.valid_pages_copied
-                        or delta.wasted_copies):
-                    break              # no staging room in this bank
                 rounds += 1
             self.stats.rounds += 1 if rounds else 0
         finally:
@@ -300,29 +325,27 @@ class GcController:
             if not self._claim_bank(bank):
                 continue
             try:
-                level = self.current_level(bank)
-                if level is None:
-                    continue
-                if self.cores:
-                    yield self.cores.charge(self.policy.scan_cpu_us)
-                victim = self.select_victim(bank, level)
-                if victim is None:
-                    continue
-                delta = yield from self.collect_block(bank, victim)
-                if (delta.blocks_collected or delta.valid_pages_copied
-                        or delta.wasted_copies):
-                    self.stats.rounds += 1
-                    return delta
-                # bank has no staging room; move on to the next candidate
+                delta = yield from self._collect_step(bank)
             finally:
                 self._release_bank(bank)
+            if delta is not None:
+                self.stats.rounds += 1
+                return delta
+            # nothing collectable here; move on to the next candidate
         return None
 
     def worker_loop(self, tid):
+        """Collector `tid`. Under the adaptive policy collector 0 is the
+        master: it throttles before each round and so never parks, which
+        keeps exactly one collector running at full IO load; the others park
+        while their tid is over the throttle."""
+        adaptive = self.policy.kind == "PLLGC_ADAPTIVE"
+        master = adaptive and tid == 0
         self.active_threads += 1
         while self.running:
-            if self.policy.kind == "PLLGC_ADAPTIVE" and tid >= self.permitted:
-                # non-master over the throttle puts itself to sleep
+            if master:
+                self.master_tick()
+            elif adaptive and tid >= self.permitted:
                 ev = self.sched.event()
                 self._paused[tid] = ev
                 self.active_threads -= 1
@@ -332,12 +355,11 @@ class GcController:
                 self.active_threads += 1
                 continue
             did = yield from self.gc_worker_round(tid)
-            self.max_observed_active = max(self.max_observed_active,
-                                           self.active_threads)
             if did is None:
                 yield self.policy.idle_poll_us
             else:
-                yield 1   # re-check throttle between rounds
+                # re-check the throttle between rounds
+                yield self.policy.master_tick_us if master else 1
         self.active_threads -= 1
 
     # ---- adaptive master ---------------------------------------------------------
@@ -369,18 +391,6 @@ class GcController:
                 self._note("exclusive-set", worst)
         return self.permitted
 
-    def master_loop(self):
-        """The master is collector 0: it throttles, then collects like any
-        other worker so at full IO load exactly one collector keeps running."""
-        self.active_threads += 1
-        while self.running:
-            self.master_tick()
-            did = yield from self.gc_worker_round(0)
-            self.max_observed_active = max(self.max_observed_active,
-                                           self.active_threads)
-            yield self.policy.idle_poll_us if did is None else self.policy.master_tick_us
-        self.active_threads -= 1
-
     # ---- lifecycle -------------------------------------------------------------------
 
     def start(self):
@@ -388,17 +398,8 @@ class GcController:
         self.active_threads = 0
         if self.policy.kind == "NPGC":
             return []
-        if self.policy.kind == "PLLGC_ADAPTIVE":
-            if self.policy.adaptive_map is None:
-                raise ValueError("adaptive policy needs an adaptive_map")
-            self._actors = [self.sched.spawn(self.master_loop(), "gc-master")]
-            for tid in range(1, self.policy.max_gc_threads):
-                self._actors.append(
-                    self.sched.spawn(self.worker_loop(tid), f"gc-worker-{tid}"))
-        else:
-            self.permitted = self.policy.max_gc_threads
-            self._actors = [self.sched.spawn(self.worker_loop(tid), f"gc-worker-{tid}")
-                            for tid in range(self.policy.max_gc_threads)]
+        self._actors = [self.sched.spawn(self.worker_loop(tid), f"gc-worker-{tid}")
+                        for tid in range(self.policy.max_gc_threads)]
         return self._actors
 
     def stop(self):

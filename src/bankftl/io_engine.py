@@ -12,11 +12,11 @@ cooperative scheduler, and an actor runs alone between its yields, so no step
 takes a lock. Buffer contents and the buffer lookup table change only inside
 a step, and whatever was read before a yield is checked again after it. Page
 allocation and its device submit run in the same step, so a block's pages are
-programmed strictly in order. Exclusion that must outlast a virtual wait is
-explicit state: a per-LPN claim bit serializes buffer installation for one
-LPN, and the writer that holds it keeps it across the 1 us retry when every
-buffer is mid-transition (`_select_buffer` returns None); other writers of
-that LPN retry meanwhile.
+programmed strictly in order. A write miss finds its buffer, evicts it and
+installs its LPN in one step, so two writers of one LPN never race for a
+buffer; exclusion that must outlast a virtual wait is explicit per-bank
+state (`gc_active`, `exclusive_gc`, `writers_active`). Whether a write
+collects inline first is the GC controller's decision (`GcController.inline`).
 
 A caller that waits on its request at once may submit it with
 `submit_inline`. A buffer hit is then served in the caller's own step when
@@ -44,10 +44,8 @@ from .sched import Event
 @dataclass
 class EngineParams:
     num_queues: int = 64
-    num_buffers: int = 256
-    buffer_size: int = 0          # 0 = flash page size; must match it otherwise
+    num_buffers: int = 256        # page-sized cache buffers
     idle_flush_seconds: float = 60.0
-    dispatch: str = "lpn"         # "lpn" | "round_robin"
     cpu_us: int = 10              # per-request worker cost (copy + lookup)
     daemon_tick_us: int = 1_000_000
     gc_wait_us: int = 500         # writer poll interval when space is exhausted
@@ -66,9 +64,7 @@ class EngineParams:
             if not hasattr(params, key):
                 raise ConfigurationError(f"unknown engine config key {key!r}")
             current = getattr(params, key)
-            if isinstance(current, str):
-                setattr(params, key, value)
-            elif isinstance(current, float):
+            if isinstance(current, float):
                 setattr(params, key, float(value))
             else:
                 setattr(params, key, int(value))
@@ -114,12 +110,8 @@ class IoEngine:
         self.device = device
         self.state = state
         g = device.geometry
-        params = params or EngineParams()
-        if params.buffer_size == 0:       # resolved in the engine's own copy
-            params = replace(params, buffer_size=g.page_size)
-        self.params = params
-        if params.buffer_size != g.page_size:
-            raise ConfigurationError("buffer_size must equal the flash page size")
+        # the engine's own copy: the caller's params may serve another engine
+        self.params = replace(params) if params else EngineParams()
         if g.sectors_per_page < 2:
             raise ConfigurationError("engine needs at least 2 sectors per page")
         self.spp = g.sectors_per_page
@@ -132,11 +124,9 @@ class IoEngine:
         self.full_q = deque()
         self.queues = [deque() for _ in range(self.params.num_queues)]
         self._wake = [None] * self.params.num_queues
-        self._rr = 0
         self._bank_cursor = 0
         self.gc = None                    # wired by the facade
         self.cores = None                 # host CorePool, wired by the facade
-        self.policy_kind = "PLLGC"
         self.running = False
         self.active_workers = 0
         self.last_work_us = [-10**15] * self.params.num_queues
@@ -159,9 +149,8 @@ class IoEngine:
     # ---- dispatch ---------------------------------------------------------
 
     def _dispatch(self, req):
-        if self.params.dispatch == "round_robin":
-            self._rr = (self._rr + 1) % self.params.num_queues
-            return self._rr
+        """A request's queue, by LPN: writes of one LPN stay in submission
+        order on one worker."""
         return (req.lsn // self.spp) % self.params.num_queues
 
     def recent_active(self, window_us, now_us):
@@ -318,40 +307,26 @@ class IoEngine:
             raise AddressError("write payload must be one sector")
         lpn, off = divmod(lsn, self.spp)
         state = self.state
-        detached = None
+        slot_idx = state.buf_find(lpn)
+        if slot_idx is not None:
+            self._write_hit(self.slots[slot_idx], off, data)
+            return
         while True:
-            slot_idx = state.buf_find(lpn)
-            if slot_idx is not None:
-                self._write_hit(self.slots[slot_idx], off, data)
-                return
-            if not state.try_claim_alloc(lpn):
-                # someone else is installing a buffer for this lpn
-                yield 1
-                continue
-            try:
-                if state.buf_find(lpn) is not None:
-                    continue                      # retry the hit path
-                picked = self._select_buffer()
-                if picked is None:
-                    yield 1                       # every slot mid-transition
-                    continue
-                slot, origin = picked
-                if not self._selection_valid(slot, origin):
-                    continue
-                if slot.lpn is not None:
-                    # swap contents into a detached page and flush below
-                    detached = (slot.lpn, slot.data, slot.dirty)
-                    slot.data = bytearray(self.params.buffer_size)
-                    self.counters["evictions"] += 1
-                state.buf_set(slot.index, lpn)
-                slot.lpn = lpn
-                slot.dirty = 0
-                self._write_into_slot(slot, off, data)
-                self.counters["cache_misses"] += 1
-                self.counters["user_sectors_written"] += 1
+            slot, origin = self._select_buffer()
+            if self._selection_valid(slot, origin):
                 break
-            finally:
-                state.release_alloc(lpn)
+        detached = None
+        if slot.lpn is not None:
+            # swap contents into a detached page and flush below
+            detached = (slot.lpn, slot.data, slot.dirty)
+            slot.data = bytearray(len(slot.data))
+            self.counters["evictions"] += 1
+        state.buf_set(slot.index, lpn)
+        slot.lpn = lpn
+        slot.dirty = 0
+        self._write_into_slot(slot, off, data)
+        self.counters["cache_misses"] += 1
+        self.counters["user_sectors_written"] += 1
         if detached is not None:
             yield from self._flush_page(*detached)
 
@@ -364,7 +339,9 @@ class IoEngine:
 
     def _select_buffer(self):
         """Preference order empty > full > LRU partial (stale queue entries
-        are re-validated by the caller)."""
+        are re-validated by the caller). Some slot always qualifies: every
+        empty slot has an `empty_q` entry, every full slot a `full_q` entry,
+        and every other slot is a partial candidate."""
         try:
             return self.slots[self.empty_q.popleft()], "empty"
         except IndexError:
@@ -379,9 +356,7 @@ class IoEngine:
                 continue
             if best is None or slot.last_access < best.last_access:
                 best = slot
-        if best is not None:
-            return best, "partial"
-        return None
+        return best, "partial"
 
     # ---- flush / merge ----------------------------------------------------------
 
@@ -455,24 +430,27 @@ class IoEngine:
         return bank
 
     def _pick_bank_gc(self, exclude=()):
-        """Bank choice plus the NPGC hook: under NPGC, a breached bank is
-        collected inline before the write proceeds."""
+        """Bank choice plus the inline-collection hook: when the GC
+        controller collects inline, a breached bank is collected before the
+        write proceeds."""
         deadline = self.sched.now + self.params.exhaust_timeout_us
+        gc = self.gc
         while True:
             bank = self.pick_bank(exclude)
+            inline = gc is not None and gc.inline
             if bank is not None:
-                if (self.policy_kind == "NPGC" and self.gc is not None
-                        and self.gc.current_level(bank) is not None):
-                    yield from self.gc.npgc_before_write(bank)
+                if inline and gc.current_level(bank) is not None:
+                    yield from gc.npgc_before_write(bank)
                 return bank
-            # nothing has room: NPGC collects in place, parallel GC is waited on
-            if self.policy_kind == "NPGC" and self.gc is not None:
+            # nothing has room: inline GC collects in place, collectors are
+            # waited on
+            if inline:
                 for b in range(self.device.geometry.num_banks):
-                    yield from self.gc.npgc_before_write(b)
+                    yield from gc.npgc_before_write(b)
                 if any(self.state.has_room(b, self.params.gc_reserve_blocks)
                        for b in range(self.device.geometry.num_banks)):
                     continue
-                raise ExhaustionError("no free block in any bank after NPGC")
+                raise ExhaustionError("no free block in any bank after inline GC")
             if self.sched.now >= deadline:
                 raise ExhaustionError("no free block appeared before timeout")
             self.counters["space_waits"] += 1

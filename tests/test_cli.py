@@ -44,7 +44,7 @@ def test_inject_aging_then_run_from_image(tmp_path, capsys):
 
 def test_run_with_engine_config_file(tmp_path, capsys):
     conf = tmp_path / "engine.conf"
-    conf.write_text("num_queues = 2\nnum_buffers = 4\ndispatch = lpn\n")
+    conf.write_text("num_queues = 2\nnum_buffers = 4\ncpu_us = 12\n")
     out = tmp_path / "out"
     rc = main(["run", "--profile", "tiny", "--config", str(conf),
                "--clients", "1", "--region", "8", "--out", str(out)])

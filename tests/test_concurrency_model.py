@@ -13,6 +13,7 @@ from conftest import TINY, sector_payload, tiny_engine
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bankftl"
 SPP = TINY.sectors_per_page
+POLICY_KINDS = ("NPGC", "PLLGC", "PLLGC_ADAPTIVE")
 
 
 def watch_alloc_program_steps(eng):
@@ -99,6 +100,35 @@ def _os_thread_uses(tree):
               and isinstance(node.value, ast.Name) and node.value.id == "time"):
             found.add("time.sleep")
     return found
+
+
+def _policy_mentions(tree):
+    """(enclosing class/function path, name) for each GC policy kind literal
+    and each `policy_kind` identifier in a module's syntax tree."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Constant) and node.value in POLICY_KINDS:
+            found.append((".".join(scope), node.value))
+        for attr in ("id", "attr", "arg"):
+            if getattr(node, attr, None) == "policy_kind":
+                found.append((".".join(scope), "policy_kind"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_the_gc_controller_knows_the_gc_policy():
+    """The IO engine asks the GC controller whether to collect inline; the
+    facade names a policy only to validate its config."""
+    mentions = {name: _policy_mentions(ast.parse((SRC / name).read_text(), name))
+                for name in ("io_engine.py", "engine.py")}
+    assert mentions["io_engine.py"] == []
+    assert {scope for scope, _ in mentions["engine.py"]} == {"EngineConfig.validate"}
 
 
 def test_only_the_engine_facade_uses_os_threads():

@@ -228,7 +228,6 @@ def test_engine_start_resolves_defaults_into_its_own_copies():
     before = (repr(params), repr(policy))
     (tiny_params, tiny_policy), _ = _reused_config_run(cfg)
     assert (repr(params), repr(policy)) == before
-    assert tiny_params.buffer_size == 2048
     assert tiny_policy.adaptive_map == [(0, 1, 4), (2, 2, 2), (3, 3, 1), (4, 4, 1)]
     assert tiny_policy.panic_free_blocks == 1
 
@@ -243,7 +242,6 @@ def test_engine_start_resolves_defaults_into_its_own_copies():
         policy=GcPolicy(kind="PLLGC_ADAPTIVE", max_gc_threads=4), seed=5))
     assert reused == fresh
     (desk_params, desk_policy), _ = reused
-    assert desk_params.buffer_size == 4096
     assert desk_policy.adaptive_map == [(0, 16, 4), (17, 32, 2), (33, 48, 1),
                                         (49, 64, 1)]
     assert desk_policy.panic_free_blocks == 2

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from bankftl.engine import Engine, EngineConfig
 from bankftl.errors import ConfigurationError, EngineStateError
 from bankftl.ftl_state import UNMAPPED, BankInfo, FtlState
 from bankftl.gc_engine import GcPolicy
@@ -307,6 +308,73 @@ def test_flush_all_with_concurrent_writers():
         assert page[off * SECTOR:(off + 1) * SECTOR] == data
 
 
+def buffer_queue_faults(io):
+    """Slots that no buffer pick could find: an empty slot without an
+    `empty_q` entry, or dirty; a full slot without a `full_q` entry. Every
+    other slot is a partial candidate."""
+    empty, full = set(io.empty_q), set(io.full_q)
+    faults = []
+    for slot in io.slots:
+        if slot.lpn is None:
+            if slot.index not in empty or slot.dirty:
+                faults.append(("empty", slot.index, slot.dirty))
+        elif slot.dirty == io.full_mask and slot.index not in full:
+            faults.append(("full", slot.index, slot.lpn))
+    return faults
+
+
+@pytest.mark.parametrize("seed", [3, 8, 21])
+def test_every_buffer_pick_finds_a_slot(seed):
+    """Concurrent writes, daemon flushes and flush barriers keep every slot
+    findable, so a write miss installs its buffer in the step it starts."""
+    eng = Engine.start(EngineConfig(
+        profile="tiny", export_ratio=0.6, seed=seed,
+        io=EngineParams(num_queues=4, num_buffers=4, idle_flush_seconds=0.002,
+                        daemon_tick_us=1_500),
+        policy=GcPolicy(kind="PLLGC", max_gc_threads=1)))
+    select = eng.io._select_buffer
+    origins, faults = [], []
+
+    def checked_select():
+        faults.extend(buffer_queue_faults(eng.io))
+        slot, origin = select()
+        origins.append(origin)
+        return slot, origin
+
+    eng.io._select_buffer = checked_select
+    rng = random.Random(seed)
+
+    def client(cid):
+        for i in range(60):
+            lpn = rng.randrange(24)
+            if rng.random() < 0.05:
+                reqs = [IoRequest("flush", 0)]
+            elif rng.random() < 0.3:       # a whole page: the slot fills
+                reqs = [IoRequest("write", lpn * SPP + s,
+                                  sector_payload((cid, i, s), SECTOR))
+                        for s in range(SPP)]
+            else:
+                reqs = [IoRequest("write", lpn * SPP + rng.randrange(SPP),
+                                  sector_payload((cid, i), SECTOR))]
+            for req in reqs:
+                eng.submit(req)
+                yield req.done
+                assert req.error is None, req.error
+            yield rng.randrange(4_000)     # lets buffers idle for the daemon
+
+    actors = [eng.sched.spawn(client(c), f"client-{c}") for c in range(6)]
+    for actor in actors:
+        eng.pump(actor.done_event)
+    faults.extend(buffer_queue_faults(eng.io))
+    assert faults == []
+    assert {"empty", "full", "partial"} <= set(origins)
+    assert eng.io.counters["daemon_flushes"] > 0
+    eng.flush()
+    assert buffer_queue_faults(eng.io) == []
+    eng.audit(deep=True)
+    eng.shutdown(clean=True)
+
+
 def test_dispatch_spread_matches_hash_oracle():
     eng = tiny_engine(queues=4, buffers=8)
     sectors = list(range(64))
@@ -358,20 +426,12 @@ def test_submit_after_shutdown_rejected():
 def test_engine_params_from_text_and_validation():
     params = EngineParams.from_text(
         "num_queues = 8\nnum_buffers=32\nidle_flush_seconds = 2.5\n"
-        "dispatch = round_robin\n# comment\n")
+        "gc_reserve_blocks = 2 # trailing comment\n# comment\n")
     assert (params.num_queues, params.num_buffers) == (8, 32)
     assert params.idle_flush_seconds == 2.5
-    assert params.dispatch == "round_robin"
+    assert params.gc_reserve_blocks == 2
     with pytest.raises(ConfigurationError):
         EngineParams.from_text("bogus_key = 1\n")
-
-
-def test_round_robin_dispatch_mode():
-    eng = tiny_engine()
-    eng.io.params.dispatch = "round_robin"
-    qis = {eng.io._dispatch(IoRequest("write", 0, b"")) for _ in range(8)}
-    assert len(qis) == 4
-    eng.shutdown(clean=True)
 
 
 def test_write_amplification_reported(engine):
