@@ -7,7 +7,7 @@ from dataclasses import asdict
 
 from . import bench
 from .engine import Engine, EngineConfig
-from .errors import AuditError
+from .errors import AuditError, ConfigurationError
 from .gc_engine import GcPolicy
 from .io_engine import EngineParams
 from .sim_flash import PROFILES
@@ -161,6 +161,9 @@ def main(argv=None):
         return args.func(args)
     except AuditError as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
+        return 2
+    except ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -12,6 +12,7 @@ drops the buffers cold to emulate a crash. The GC policy itself is known
 only to the GC controller.
 """
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -40,14 +41,29 @@ class EngineConfig:
     seed: int = 0
 
     def validate(self):
-        if not (1 <= self.io.num_queues <= 4096):
+        io, policy = self.io, self.policy
+        if not (1 <= io.num_queues <= 4096):
             raise ConfigurationError("num_queues out of range")
-        if self.io.num_buffers < 1:
+        if io.num_buffers < 1:
             raise ConfigurationError("need at least one buffer")
+        # a wait must move the virtual clock forward (a zero poll period
+        # spins an actor at one instant forever), a cost must not move it back
+        for owner, name in ((io, "daemon_tick_us"), (io, "gc_wait_us"),
+                            (io, "exhaust_timeout_us"), (policy, "idle_poll_us"),
+                            (policy, "master_tick_us")):
+            if getattr(owner, name) <= 0:
+                raise ConfigurationError(f"{name} must be positive")
+        for owner, name in ((io, "cpu_us"), (policy, "copy_cpu_us"),
+                            (policy, "round_cpu_us"), (policy, "scan_cpu_us")):
+            if getattr(owner, name) < 0:
+                raise ConfigurationError(f"{name} must not be negative")
+        if not (0 <= io.idle_flush_seconds < math.inf):
+            raise ConfigurationError("idle_flush_seconds must be finite and "
+                                     "not negative")
         if not (0.0 < self.export_ratio <= 1.0):
             raise ConfigurationError("export_ratio must be in (0, 1]")
-        if self.policy.kind not in ("NPGC", "PLLGC", "PLLGC_ADAPTIVE"):
-            raise ConfigurationError(f"unknown GC policy {self.policy.kind!r}")
+        if policy.kind not in ("NPGC", "PLLGC", "PLLGC_ADAPTIVE"):
+            raise ConfigurationError(f"unknown GC policy {policy.kind!r}")
         if not (1 <= self.checkpoint_k):
             raise ConfigurationError("checkpoint window must be positive")
         if self.levels is not None:

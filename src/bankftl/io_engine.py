@@ -63,11 +63,12 @@ class EngineParams:
             key, value = key.strip(), value.strip()
             if not hasattr(params, key):
                 raise ConfigurationError(f"unknown engine config key {key!r}")
-            current = getattr(params, key)
-            if isinstance(current, float):
-                setattr(params, key, float(value))
-            else:
-                setattr(params, key, int(value))
+            convert = float if isinstance(getattr(params, key), float) else int
+            try:
+                setattr(params, key, convert(value))
+            except ValueError:
+                raise ConfigurationError(f"engine config key {key!r}: {value!r} "
+                                         f"is not a valid {convert.__name__}") from None
         return params
 
 

@@ -20,14 +20,20 @@ page is caught by the data CRC in its spare (`oob.decode_spare`).
 A programmed page keeps only the bytes that carry data. A page whose last
 read unit has a non-zero byte past the unit's first `_HEAD` bytes is stored
 whole, as `bytes`; telling costs a dense page two compares, each stopping at
-the first non-zero byte it meets. Any other page is stored as a tuple of
-pieces, each read unit's head (its first `_HEAD` bytes) then its tail (the
-rest), up to the last piece that holds data; a tail that is all zero is one
-shared zero run. Pieces cut off the end read back as zeros. A read joins
-only the pieces of its window; an image holds whole pages, and loading
-stores them by the same rule. So headers followed by zeros (aged pages, the
-benchmark's sectors) cost a few dozen bytes per read unit instead of a whole
-page, and every read returns the bytes written.
+the first non-zero byte it meets. A page stored whole that equals the
+previous page the device stored whole shares that page's `bytes` object,
+which one more compare tells: stored pages are never changed in place, and
+equal pages come in runs (the checkpoint chain of a mostly unmapped map, a
+fill pattern written page after page), so a run costs one page of memory.
+Any other page is stored as a tuple of pieces, each read unit's head (its
+first `_HEAD` bytes) then its tail (the rest), up to the last piece that
+holds data; a tail that is all zero is one shared zero run. One unpack
+takes every head, and one compare of the page against its heads joined by
+zero runs tells whether every tail is zero. Pieces cut off the end read
+back as zeros. A read joins only the pieces of its window; an image holds
+whole pages, and loading stores them by the same rule. So headers followed
+by zeros (aged pages, the benchmark's sectors) cost a few dozen bytes per
+read unit instead of a whole page, and every read returns the bytes written.
 
 A block's state is created the first time the block is programmed, erased,
 marked bad or loaded from an image; until then it reads as erased, with erase
@@ -203,11 +209,17 @@ class SimFlashDevice:
         self._bad_blocks = set()
         self.erased_page = b"\xff" * g.page_size
         self.erased_spare = b"\xff" * g.spare_per_page
-        # zero runs for the stored-page form (_store, _window)
-        self._head = min(_HEAD, g.read_unit)
-        self._zero_rest = bytes(g.page_size - self._head)
-        self._zero_tail = bytes(g.read_unit - self._head)
+        # the stored-page form (_store, _window): zero runs, the unpackers
+        # of every unit's head and tail, and the last page stored whole
+        head = self._head = min(_HEAD, g.read_unit)
+        self._zero_head = bytes(head)
+        self._zero_rest = bytes(g.page_size - head)
+        self._zero_tail = bytes(g.read_unit - head)
         self._zero_page = memoryview(bytes(g.page_size))
+        units = g.sectors_per_page
+        self._heads = struct.Struct(f"{head}s{g.read_unit - head}x" * units)
+        self._tails = struct.Struct(f"{head}x{g.read_unit - head}s" * units)
+        self._last_whole = None
         for bank, block in bad_blocks:
             self._check_block(bank, block)
             self._mark_bad(bank, block)
@@ -287,16 +299,19 @@ class SimFlashDevice:
         if data.startswith(self._zero_rest, head):
             return (data[:head],)
         if not data.endswith(zero_tail):
-            return data
-        ru = self.geometry.read_unit
-        pieces = []
-        for base in range(0, len(data), ru):
-            tail = base + head
-            pieces.append(data[base:tail])
-            pieces.append(zero_tail if data.startswith(zero_tail, tail)
-                          else data[tail:base + ru])
+            if data != self._last_whole:
+                self._last_whole = data
+            return self._last_whole
+        heads = self._heads.unpack(data)
+        pieces = [None, zero_tail] * len(heads)
+        pieces[::2] = heads
+        # one compare tells whether every tail is zero (the usual case)
+        if not data.startswith(zero_tail.join(heads)):
+            pieces[1::2] = [zero_tail if t == zero_tail else t
+                            for t in self._tails.unpack(data)]
         # some piece past the first head is non-zero, so this stops
-        while pieces[-1] is zero_tail or pieces[-1].count(0) == len(pieces[-1]):
+        zero_head = self._zero_head
+        while pieces[-1] is zero_tail or pieces[-1] == zero_head:
             pieces.pop()
         return tuple(pieces)
 

@@ -1,4 +1,7 @@
 import random
+import tracemalloc
+from contextlib import contextmanager
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +29,22 @@ def tiny_engine(policy=None, queues=4, buffers=8, seed=0, image_path=None,
         seed=seed, image_path=image_path, export_ratio=export_ratio,
         levels=levels)
     return Engine.start(cfg)
+
+
+@contextmanager
+def traced_memory():
+    """Trace Python allocations over the block. The yielded object's `held`
+    (bytes still allocated at the end) and `peak` (the most allocated at
+    once) are set when the block ends, both counted from its start."""
+    mem = SimpleNamespace(held=None, peak=None)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        yield mem
+        held, peak = tracemalloc.get_traced_memory()
+        mem.held, mem.peak = held - base, peak - base
+    finally:
+        tracemalloc.stop()
 
 
 def run_gen(gen, seed=0):

@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +14,8 @@ from bankftl.oob import (LPN_NONE, SPARE_BYTES, TYPE_CHECKPOINT, TYPE_DATA,
 from bankftl.sched import Scheduler
 from bankftl.sim_flash import PROFILES, PageAddress, SimFlashDevice
 
-from conftest import TINY, sector_payload, synth_block, tiny_engine
+from conftest import (TINY, sector_payload, synth_block, tiny_engine,
+                      traced_memory)
 
 SPP = TINY.sectors_per_page
 
@@ -198,14 +198,9 @@ def test_chain_load_copies_the_payload_at_most_once():
     sched = Scheduler(0)
     state = FtlState(g, 8, 0.875, sorted(device.bad_block_set()))
     loader = Checkpointer(sched, device, state, k=4)
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
+    with traced_memory() as mem:
         assert sched.join(sched.spawn(loader.load(), "load"))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - base < 2.5 * length
+    assert mem.peak < 2.5 * length
 
 
 def test_blank_device_load_not_found():

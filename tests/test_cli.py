@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bankftl.cli import main
 
 
@@ -50,6 +52,20 @@ def test_run_with_engine_config_file(tmp_path, capsys):
                "--clients", "1", "--region", "8", "--out", str(out)])
     assert rc == 0
     assert "elapsed_s:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line, named", [("num_queues = eight", "num_queues"),
+                                         ("daemon_tick_us = 0", "daemon_tick_us")])
+def test_bad_engine_config_file_is_reported_with_status_2(tmp_path, capsys,
+                                                         line, named):
+    conf = tmp_path / "engine.conf"
+    conf.write_text(line + "\n")
+    rc = main(["run", "--profile", "tiny", "--config", str(conf),
+               "--clients", "1", "--region", "8", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and named in err
+    assert "Traceback" not in err
 
 
 def test_report_reemits_from_json(tmp_path, capsys):

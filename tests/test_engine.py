@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import threading
@@ -37,6 +38,45 @@ def test_config_cross_validation():
     with pytest.raises(ConfigurationError):
         EngineConfig(levels=[GcLevel(4, 1), GcLevel(2, 2)]).validate()
     EngineConfig(levels=[GcLevel(4, 0), GcLevel(2, 2)]).validate()
+
+
+BAD_TIMING = {
+    # a zero period spins an actor at one virtual instant: the first write
+    # of a tiny engine never returned with either of the first two
+    "daemon_tick_us=0": (EngineParams(daemon_tick_us=0), None),
+    "idle_poll_us=0": (None, GcPolicy(idle_poll_us=0)),
+    "gc_wait_us=0": (EngineParams(gc_wait_us=0), None),
+    "exhaust_timeout_us=0": (EngineParams(exhaust_timeout_us=0), None),
+    "master_tick_us=-1": (None, GcPolicy(kind="PLLGC_ADAPTIVE",
+                                         master_tick_us=-1)),
+    # a negative cost made a write cost 0 us of virtual time
+    "cpu_us=-1": (EngineParams(cpu_us=-1), None),
+    "copy_cpu_us=-1": (None, GcPolicy(copy_cpu_us=-1)),
+    "round_cpu_us=-1": (None, GcPolicy(round_cpu_us=-1)),
+    "scan_cpu_us=-1": (None, GcPolicy(scan_cpu_us=-1)),
+    "idle_flush_seconds=-1": (EngineParams(idle_flush_seconds=-1.0), None),
+    "idle_flush_seconds=inf": (EngineParams(idle_flush_seconds=math.inf), None),
+    "idle_flush_seconds=nan": (EngineParams(idle_flush_seconds=math.nan), None),
+}
+
+
+@pytest.mark.parametrize("case", BAD_TIMING)
+def test_timing_settings_that_hang_or_rewind_are_rejected(case):
+    io, policy = BAD_TIMING[case]
+    config = EngineConfig(profile="tiny", io=io or EngineParams(),
+                          policy=policy or GcPolicy())
+    with pytest.raises(ConfigurationError, match=case.split("=")[0]):
+        Engine.start(config)
+
+
+def test_zero_costs_and_an_immediate_idle_flush_are_accepted():
+    eng = Engine.start(EngineConfig(
+        profile="tiny", io=EngineParams(num_queues=2, cpu_us=0,
+                                        idle_flush_seconds=0.0),
+        policy=GcPolicy(copy_cpu_us=0, round_cpu_us=0, scan_cpu_us=0)))
+    eng.write_sector(0, b"\x01" * SECTOR)
+    assert eng.read_sector(0) == b"\x01" * SECTOR
+    eng.shutdown(clean=True)
 
 
 def test_clean_shutdown_restart_preserves_contents(tmp_path):

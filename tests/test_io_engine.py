@@ -434,6 +434,14 @@ def test_engine_params_from_text_and_validation():
         EngineParams.from_text("bogus_key = 1\n")
 
 
+@pytest.mark.parametrize("line", ["num_queues = eight", "num_buffers = 2.5",
+                                  "idle_flush_seconds = soon", "cpu_us ="])
+def test_engine_params_from_text_names_a_key_whose_value_is_not_a_number(line):
+    key = line.split("=")[0].strip()
+    with pytest.raises(ConfigurationError, match=f"'{key}'"):
+        EngineParams.from_text(f"num_queues = 8\n{line}\n")
+
+
 def test_write_amplification_reported(engine):
     eng = engine
     for lpn in range(12):

@@ -3,10 +3,10 @@ import pickle
 import random
 import re
 import struct
-import tracemalloc
 
 import pytest
 
+from bankftl.engine import Engine, EngineConfig
 from bankftl.errors import (AddressError, BadBlockError, ConfigurationError,
                             OverwriteViolation, SequencingViolation)
 from bankftl.oob import pack_sections, unpack_sections
@@ -14,7 +14,7 @@ from bankftl.sim_flash import (PROFILES, FlashGeometry, LatencyModel,
                                PageAddress, SimFlashDevice, load_profile,
                                parse_profile, profile_dict, save_profile)
 
-from conftest import TINY, tiny_device
+from conftest import TINY, tiny_device, traced_memory
 
 PAGE = TINY.page_size
 
@@ -287,13 +287,9 @@ CARD = PROFILES["card512"]
 
 
 def test_card512_builds_without_materialising_blocks():
-    tracemalloc.start()
-    try:
+    with traced_memory() as mem:
         SimFlashDevice(CARD)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert mem.peak < 16 * 2**20
 
 
 def test_untouched_block_reads_erased_and_is_charged():
@@ -663,17 +659,89 @@ def test_image_bytes_are_pinned(tmp_path):
 def test_header_pages_are_stored_in_a_few_bytes_per_unit():
     dev = SimFlashDevice(CARD)
     tail = bytes(CARD.read_unit - 16)
-    tracemalloc.start()
-    try:
+    with traced_memory() as mem:
         for i in range(256):
             page = b"".join(struct.pack("<QQ", i, s) + tail
                             for s in range(CARD.sectors_per_page))
             dev.write_page(PageAddress(i % 4, 0, i // 4), page)
             del page
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert held < 2 * 2**20
+    assert mem.held < 2 * 2**20
+
+
+# ---- a whole page equal to the previous whole page is stored once -----------
+
+def stored(dev, addr):
+    """The device's stored form of a programmed page."""
+    return dev._banks[addr.bank][addr.block].pages[addr.page]
+
+
+def test_equal_whole_pages_in_a_row_share_one_stored_page():
+    dev = tiny_device()
+    a, b, c, d, e = (PageAddress(0, 0, p) for p in range(5))
+    dev.write_page(a, page_of(7))
+    dev.write_page(b, page_of(7))
+    assert stored(dev, b) is stored(dev, a)
+    header = bytes([9]) + bytes(PAGE - 1)        # stored sparse: no break
+    dev.write_page(c, header)
+    dev.write_page(d, page_of(7))
+    assert stored(dev, d) is stored(dev, a)
+    dev.write_page(e, page_of(8))                 # a different page breaks it
+    dev.write_page(PageAddress(0, 0, 5), page_of(7))
+    again = stored(dev, PageAddress(0, 0, 5))
+    assert again == stored(dev, a) and again is not stored(dev, a)
+    for addr, data in ((a, page_of(7)), (b, page_of(7)), (c, header),
+                       (d, page_of(7)), (e, page_of(8))):
+        assert dev.read_page(addr)[0] == data
+
+
+def test_a_caller_buffer_changed_after_the_write_leaves_the_page_as_written():
+    dev = tiny_device()
+    buf = bytearray(page_of(7))
+    dev.write_page(PageAddress(0, 0, 0), buf)
+    dev.write_page(PageAddress(0, 0, 1), buf)
+    buf[:] = page_of(9)
+    dev.write_page(PageAddress(0, 0, 2), buf)
+    buf[0] = 1
+    assert [dev.read_page(PageAddress(0, 0, p))[0] for p in range(3)] == \
+        [page_of(7), page_of(7), page_of(9)]
+
+
+def test_erasing_the_first_copy_leaves_the_second_readable():
+    dev = tiny_device()
+    first, second = PageAddress(0, 0, 0), PageAddress(1, 0, 0)
+    dev.write_page(first, page_of(7))
+    dev.write_page(second, page_of(7))
+    assert stored(dev, second) is stored(dev, first)
+    dev.erase_block(0, 0)
+    assert dev.read_page(first)[0] == b"\xff" * PAGE
+    assert dev.read_page(second)[0] == page_of(7)
+    dev.write_page(first, page_of(7))
+    assert dev.read_page(first)[0] == page_of(7)
+
+
+def test_image_round_trip_of_shared_pages(tmp_path):
+    dev = tiny_device()
+    written = {}
+    for i, byte in enumerate((7, 7, 7, 8, 7, 7, 9, 9)):
+        addr = PageAddress(0, 0, i)
+        dev.write_page(addr, page_of(byte), bytes([i]))
+        written[addr] = (page_of(byte), bytes([i]))
+    dev.save_image(tmp_path / "f.img")
+    copy = SimFlashDevice.load_image(tmp_path / "f.img")
+    # loading stores the pages in the order written: four runs, four pages
+    assert len({id(stored(copy, addr)) for addr in written}) == 4
+    copy.save_image(tmp_path / "g.img")               # before reads move the clock
+    assert (tmp_path / "g.img").read_bytes() == (tmp_path / "f.img").read_bytes()
+    assert_reads_back(copy, written)
+
+
+def test_card512_clean_shutdown_stores_its_checkpoint_chain_in_a_few_mib():
+    # a fresh card's map is one repeated word, so its chain pages repeat
+    eng = Engine.start(EngineConfig(profile="card512"))
+    with traced_memory() as mem:
+        eng.shutdown(clean=True)
+    assert eng.device.device_stats().pages_written > 1000
+    assert mem.held <= 4 * 2**20
 
 
 def test_page_address_is_an_immutable_named_tuple():
