@@ -7,7 +7,12 @@ at the next. The chain head must land inside the top-K/bottom-K block window
 of some bank, so loading only probes those windows (in parallel across banks)
 before walking the chain. If no intact chain is found, a page-level scan of
 every written page rebuilds the tables from spare metadata, keeping the
-highest sequence number per logical page.
+highest sequence number per logical page. The scan reads each block from
+page 0 up to its first erased page, so a block never written costs one
+probe; a probe is one device read of a plain `(bank, block, page)` tuple,
+and a bank's bad blocks are read once, as bytes. Both restore paths write
+only the set valid bits, and zero the table first only when it holds any,
+so the pages of a fresh state's table that no bit lands on stay untouched.
 
 Two paths move live pages, both through `gc_engine.move_live_pages`: a save
 whose head finds every window block occupied empties one first, and the
@@ -86,9 +91,14 @@ def restore_state(state, payload):
     free = np.unpackbits(np.frombuffer(free, dtype=np.uint8))
     state.free_bits[:] = free[:g.num_banks * g.blocks_per_bank].reshape(
         g.num_banks, g.blocks_per_bank).astype(bool)
-    vbits = np.unpackbits(np.frombuffer(vbit, dtype=np.uint8))
-    state.valid_bits[:] = vbits[:g.total_blocks * g.pages_per_block].reshape(
-        g.total_blocks, g.pages_per_block).astype(bool)
+    # only the set bits are written, so a mostly unwritten card's table
+    # keeps its untouched pages out of memory
+    packed = np.frombuffer(vbit, dtype=np.uint8)
+    nonzero = np.flatnonzero(packed)
+    bits = np.unpackbits(packed[nonzero]).reshape(-1, 8).astype(bool)
+    positions = (nonzero[:, None] * 8 + np.arange(8))[bits]
+    valid = _clear(state.valid_bits).reshape(-1)
+    valid[positions[positions < valid.size]] = True
     state.valid_count[:] = np.frombuffer(vcnt, dtype=np.int32)
     rows = np.frombuffer(bank_blob, dtype=np.int32).reshape(-1, 4)
     for bank, info in enumerate(state.banks):
@@ -96,6 +106,14 @@ def restore_state(state, payload):
         info.next_page = int(rows[bank, 3])
     state.sequence_floor(struct.unpack("<Q", seqc)[0])
     state.recount()
+
+
+def _clear(table):
+    """`table` all False; a table already clear is left untouched (its
+    pages that were never written stay out of memory)."""
+    if table.any():
+        table[:] = False
+    return table
 
 
 class Checkpointer:
@@ -327,20 +345,23 @@ class Checkpointer:
 
     def _scan_bank(self, bank, found, free_blocks_out, partial_out):
         g = self.device.geometry
+        sched = self.sched
+        read_page = self.device.read_page
+        bad = self.state.bad_bits[bank].tobytes()
+        pages_per_block, num_lpns = g.pages_per_block, self.state.num_lpns
         # erased reads hand back these very objects, so most compares are
         # identity checks
         erased_page, erased_spare = self.device.erased_page, self.device.erased_spare
         for block in range(g.blocks_per_bank):
-            if self.state.bad_bits[bank, block]:
+            if bad[block]:
                 continue
             first = True
             block_type = None
-            for page in range(g.pages_per_block):
-                data, spare, desc = self.device.read_page(
-                    PageAddress(bank, block, page), want_spare=True,
-                    submit_us=self.sched.now)
+            for page in range(pages_per_block):
+                data, spare, desc = read_page((bank, block, page), want_spare=True,
+                                              submit_us=sched.now)
                 self.scan_reads += 1
-                yield desc.complete_us - self.sched.now
+                yield desc.complete_us - sched.now
                 if spare == erased_spare and data == erased_page:
                     if first:
                         free_blocks_out.append((bank, block))
@@ -356,7 +377,7 @@ class Checkpointer:
                 btype, lpn, seq = meta
                 if block_type is None:
                     block_type = btype
-                if btype != oob.TYPE_DATA or lpn >= self.state.num_lpns:
+                if btype != oob.TYPE_DATA or lpn >= num_lpns:
                     continue
                 found.append((seq, lpn, g.ppn(bank, block, page)))
 
@@ -375,7 +396,7 @@ class Checkpointer:
                 yield a.done_event
         state = self.state
         state.map[:] = UNMAPPED
-        state.valid_bits[:] = False
+        _clear(state.valid_bits)
         state.valid_count[:] = 0
         state.free_bits[:] = False
         for bank, block in free_out:

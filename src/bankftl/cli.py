@@ -7,7 +7,7 @@ from dataclasses import asdict
 
 from . import bench
 from .engine import Engine, EngineConfig
-from .errors import AuditError, ConfigurationError
+from .errors import AuditError, ConfigurationError, EngineStateError
 from .gc_engine import GcPolicy
 from .io_engine import EngineParams
 from .sim_flash import PROFILES
@@ -89,6 +89,12 @@ def cmd_inject_aging(args):
         seed=args.seed)
     try:
         info = bench.inject_aging(eng, spec)
+    except EngineStateError as exc:
+        # the image already holds data: leave it as it is
+        eng.abort()
+        print(f"cannot age {args.image}: {exc}", file=sys.stderr)
+        return 2
+    try:
         checked = bench.aged_read_check(eng)
         eng.shutdown(clean=True)
     except AuditError as exc:

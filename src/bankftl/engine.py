@@ -64,6 +64,11 @@ class EngineConfig:
             raise ConfigurationError("export_ratio must be in (0, 1]")
         if policy.kind not in ("NPGC", "PLLGC", "PLLGC_ADAPTIVE"):
             raise ConfigurationError(f"unknown GC policy {policy.kind!r}")
+        # with no collector a writer waits for free space that never comes;
+        # NPGC collects inline and starts none
+        if policy.kind != "NPGC" and policy.max_gc_threads < 1:
+            raise ConfigurationError(
+                f"{policy.kind} needs max_gc_threads of at least 1")
         if not (1 <= self.checkpoint_k):
             raise ConfigurationError("checkpoint window must be positive")
         if self.levels is not None:
@@ -142,16 +147,15 @@ class Engine:
         return eng
 
     def shutdown(self, clean=True):
-        if not self.live:
-            raise EngineStateError("engine already shut down")
-        self.live = False
         if not clean:
-            # simulated crash: buffers dropped, nothing flushed or saved
-            self.io.running = False
-            self.gc.stop()
+            # simulated crash: the card is saved as the crash left it
+            self.abort()
             if self.config.image_path is not None:
                 self.device.save_image(self.config.image_path)
             return None
+        if not self.live:
+            raise EngineStateError("engine already shut down")
+        self.live = False
         self.io.stop()
         for actor in self._workers:
             if not actor.done:
@@ -174,6 +178,16 @@ class Engine:
         if self.config.image_path is not None:
             self.device.save_image(self.config.image_path)
         return head
+
+    def abort(self):
+        """Stop serving at once: buffers are dropped and nothing is flushed
+        or saved, so the image file the engine started from is left as it
+        was."""
+        if not self.live:
+            raise EngineStateError("engine already shut down")
+        self.live = False
+        self.io.running = False
+        self.gc.stop()
 
     # ---- request surface ---------------------------------------------------------
 

@@ -123,6 +123,8 @@ class IoEngine:
                       for i in range(self.params.num_buffers)]
         self.empty_q = deque(range(self.params.num_buffers))
         self.full_q = deque()
+        # the partial slots in LRU order, as of a clock (_lru_partial)
+        self._lru, self._lru_pos, self._lru_at = [], 0, 0
         self.queues = [deque() for _ in range(self.params.num_queues)]
         self._wake = [None] * self.params.num_queues
         self._bank_cursor = 0
@@ -343,21 +345,42 @@ class IoEngine:
         are re-validated by the caller). Some slot always qualifies: every
         empty slot has an `empty_q` entry, every full slot a `full_q` entry,
         and every other slot is a partial candidate."""
-        try:
+        if self.empty_q:
             return self.slots[self.empty_q.popleft()], "empty"
-        except IndexError:
-            pass
-        try:
+        if self.full_q:
             return self.slots[self.full_q.popleft()], "full"
-        except IndexError:
-            pass
-        best = None
-        for slot in self.slots:
-            if slot.lpn is None or slot.dirty == self.full_mask:
-                continue
-            if best is None or slot.last_access < best.last_access:
-                best = slot
-        return best, "partial"
+        return self._lru_partial(), "partial"
+
+    def _lru_partial(self):
+        """The partial slot least in `(last_access, index)`, or None.
+
+        `_lru` is the sorted `(last_access, index)` of every slot that was
+        partial at clock `_lru_at`; `_lru_pos` skips its consumed head. An
+        entry still holds while its slot is partial with that stamp. Any
+        other partial slot was stamped (with the clock, which never falls)
+        after the snapshot, so no earlier than `_lru_at`: the first holding
+        entry stamped before `_lru_at` is the pick. Without one, the
+        snapshot is rebuilt and its first entry is the pick. It holds at
+        most `num_buffers` entries, and buffer writes do no bookkeeping."""
+        slots, full = self.slots, self.full_mask
+        order = self._lru
+        pos = self._lru_pos
+        while pos < len(order):
+            stamp, idx = order[pos]
+            slot = slots[idx]
+            if (slot.last_access == stamp and slot.lpn is not None
+                    and slot.dirty != full):
+                if stamp < self._lru_at:
+                    self._lru_pos = pos
+                    return slot
+                break
+            pos += 1
+        self._lru = order = sorted(
+            (slot.last_access, slot.index) for slot in slots
+            if slot.lpn is not None and slot.dirty != full)
+        self._lru_at = self.sched.now
+        self._lru_pos = 0
+        return slots[order[0][1]] if order else None
 
     # ---- flush / merge ----------------------------------------------------------
 

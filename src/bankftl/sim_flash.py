@@ -5,8 +5,12 @@ sequentially-programmable pages with spare bytes, one bus per interface, one
 read queue per two consecutive banks, and a configurable latency model.
 `write_page`, `read_page` and `erase_block` are the one request path: each
 acts at once and returns a completion descriptor charged on virtual clocks.
-A request first occupies its interface's bus (a read also its read queue)
-for a transfer slice, then its bank for an execution slice, so requests on
+A page address is unpacked as a `(bank, block, page)` 3-tuple, so a
+`PageAddress` and a plain tuple make the same request. Once checked, a
+request is charged by `_service` on plain ints, which looks each bank's
+interface and read queue up in tables built with the device. A request
+first occupies its interface's bus (a read also its read queue) for a
+transfer slice, then its bank for an execution slice, so requests on
 different banks overlap while requests sharing a bus, read queue or bank
 serialize, and can complete out of submission order. A read queue's wait
 binds only when its two banks sit on different interfaces (an odd
@@ -149,7 +153,7 @@ class LatencyModel:
         return self
 
 
-@dataclass
+@dataclass(slots=True)
 class CompletionDescriptor:
     request_id: int
     submit_us: int
@@ -204,6 +208,8 @@ class SimFlashDevice:
         self._num_banks = g.num_banks
         self._blocks_per_bank = g.blocks_per_bank
         self._pages_per_block = g.pages_per_block
+        self._page_size = g.page_size
+        self._read_unit = g.read_unit
         # None until the block is first touched (see _block)
         self._banks = [[None] * g.blocks_per_bank for _ in range(g.num_banks)]
         self._bad_blocks = set()
@@ -226,6 +232,18 @@ class SimFlashDevice:
         # one read queue per two consecutive banks; with an odd
         # banks_per_interface the two banks sit on different interfaces
         self.read_queues = [_Queue() for _ in range((g.num_banks + 1) // 2)]
+        # the request path's tables (_service): each bank's interface and
+        # read queue, and each kind's transfer and execution slices
+        self._bank_itf = [bank // g.banks_per_interface
+                          for bank in range(g.num_banks)]
+        self._bank_queue = [self.read_queues[bank // 2]
+                            for bank in range(g.num_banks)]
+        m = self.model
+        self._slices = {
+            kind: (transfer, total - transfer) for kind, transfer, total in (
+                ("write", m.write_transfer_us, m.write_page_us),
+                ("erase", m.erase_transfer_us, m.erase_block_us),
+                ("read", m.read_transfer_us, m.read_unit_us))}
         # every transfer occupies its interface's bus
         self.bus_free_at = [0] * g.num_interfaces
         self.bank_free_at = [0] * g.num_banks
@@ -240,10 +258,10 @@ class SimFlashDevice:
         if not (0 <= bank < self._num_banks and 0 <= block < self._blocks_per_bank):
             raise AddressError(f"bank {bank} block {block} out of range")
 
-    def _check_addr(self, addr):
-        self._check_block(addr.bank, addr.block)
-        if not (0 <= addr.page < self._pages_per_block):
-            raise AddressError(f"page {addr.page} out of range")
+    def _check_addr(self, bank, block, page):
+        self._check_block(bank, block)
+        if not (0 <= page < self._pages_per_block):
+            raise AddressError(f"page {page} out of range")
 
     def _block(self, bank, block):
         """The block's state, created on first touch."""
@@ -258,37 +276,39 @@ class SimFlashDevice:
 
     # ---- timing --------------------------------------------------------
 
-    def _service(self, kind, addr, submit_us, units=1):
+    def _service(self, kind, bank, block, page, submit_us, units=1):
         """Charge an accepted request on the virtual clocks, log it and
         return its completion descriptor."""
+        now = self.now_us
         if submit_us is None:
-            submit_us = self.now_us
-        m = self.model
-        bank = addr.bank
-        itf = bank // self.geometry.banks_per_interface
-        start = max(submit_us, self.bus_free_at[itf])
-        if kind == "write":
-            transfer, total = m.write_transfer_us, m.write_page_us
-        elif kind == "erase":
-            transfer, total = m.erase_transfer_us, m.erase_block_us
-        else:
-            q = self.read_queues[bank // 2]
-            start = max(start, q.free_at)
-            transfer, total = m.read_transfer_us * units, m.read_unit_us * units
+            submit_us = now
+        itf = self._bank_itf[bank]
+        start = self.bus_free_at[itf]
+        if start < submit_us:
+            start = submit_us
+        transfer, execute = self._slices[kind]
+        if kind == "read":
+            q = self._bank_queue[bank]
+            if start < q.free_at:
+                start = q.free_at
+            transfer *= units
+            execute *= units
             q.free_at = start + transfer
-        transfer_end = start + transfer
-        self.bus_free_at[itf] = transfer_end
-        begin = max(transfer_end, self.bank_free_at[bank])
-        done = begin + total - transfer
+        start += transfer
+        self.bus_free_at[itf] = start
+        done = self.bank_free_at[bank]
+        if done < start:
+            done = start
+        done += execute
         self.bank_free_at[bank] = done
-        if done > self.now_us:
+        if done > now:
             self.now_us = done
         self._stats.requests_accepted += 1
         rid = self._next_req_id
-        self._next_req_id += 1
+        self._next_req_id = rid + 1
         if self.request_log is not None:
             self.request_log.append(
-                (rid, kind, bank, addr.block, addr.page, submit_us, done))
+                (rid, kind, bank, block, page, submit_us, done))
         return CompletionDescriptor(rid, submit_us, done)
 
     # ---- stored-page form -------------------------------------------------
@@ -326,50 +346,57 @@ class SimFlashDevice:
     # ---- requests ------------------------------------------------------
 
     def write_page(self, addr, data, spare=b"", submit_us=None):
-        g = self.geometry
-        self._check_addr(addr)
-        blk = self._block(addr.bank, addr.block)
+        bank, block, page = addr
+        if not (0 <= bank < self._num_banks and 0 <= block < self._blocks_per_bank
+                and 0 <= page < self._pages_per_block):
+            self._check_addr(bank, block, page)
+        blk = self._block(bank, block)
         if blk.is_bad:
-            raise BadBlockError(f"bank {addr.bank} block {addr.block} is bad")
-        if len(data) != g.page_size:
+            raise BadBlockError(f"bank {bank} block {block} is bad")
+        if len(data) != self._page_size:
             raise AddressError("write payload must be one full page")
-        if len(spare) > g.spare_per_page:
+        if len(spare) > self.geometry.spare_per_page:
             raise AddressError("spare payload exceeds spare area")
-        if addr.page < blk.next_writable_page:
+        if page < blk.next_writable_page:
             raise OverwriteViolation(
-                f"page {addr.page} already written in block {addr.block}")
-        if addr.page > blk.next_writable_page:
+                f"page {page} already written in block {block}")
+        if page > blk.next_writable_page:
             raise SequencingViolation(
-                f"expected page {blk.next_writable_page}, got {addr.page}")
-        blk.pages[addr.page] = self._store(bytes(data))
-        blk.spares[addr.page] = bytes(spare)
-        blk.next_writable_page += 1
+                f"expected page {blk.next_writable_page}, got {page}")
+        blk.pages[page] = self._store(bytes(data))
+        blk.spares[page] = bytes(spare)
+        blk.next_writable_page = page + 1
         self._stats.pages_written += 1
-        return self._service("write", addr, submit_us)
+        return self._service("write", bank, block, page, submit_us)
 
     def read_page(self, addr, offset=0, length=None, want_spare=False,
                   submit_us=None):
-        g = self.geometry
-        self._check_addr(addr)
+        bank, block, page = addr
+        if not (0 <= bank < self._num_banks and 0 <= block < self._blocks_per_bank
+                and 0 <= page < self._pages_per_block):
+            self._check_addr(bank, block, page)
+        page_size = self._page_size
         if length is None:
-            length = g.page_size - offset
-        if offset < 0 or length < 0 or offset + length > g.page_size:
+            length = page_size - offset
+        if offset < 0 or length < 0 or offset + length > page_size:
             raise AddressError("read window outside page")
-        if length % g.read_unit or offset % g.read_unit:
+        unit = self._read_unit
+        if length % unit or offset % unit:
             raise AddressError("reads are read_unit granular")
-        blk = self._banks[addr.bank][addr.block]
-        stored = None if blk is None else blk.pages[addr.page]
+        blk = self._banks[bank][block]
+        stored = None if blk is None else blk.pages[page]
         if stored is None:
             data = self.erased_page[:length]
             spare = self.erased_spare
         else:
             data = self._window(stored, offset, length)
-            raw = blk.spares[addr.page]
+            raw = blk.spares[page]
             spare = raw + self.erased_spare[len(raw):]
-        units = max(1, length // g.read_unit)
-        self._stats.read_ops += 1
-        self._stats.read_units += units
-        desc = self._service("read", addr, submit_us, units)
+        units = length // unit or 1
+        stats = self._stats
+        stats.read_ops += 1
+        stats.read_units += units
+        desc = self._service("read", bank, block, page, submit_us, units)
         return data, (spare if want_spare else b""), desc
 
     def erase_block(self, bank, block, submit_us=None):
@@ -388,7 +415,7 @@ class SimFlashDevice:
             self._stats.wear_flagged_blocks.append((bank, block))
         self._stats.blocks_erased += 1
         self._stats.erase_counts_per_bank[bank] += 1
-        return self._service("erase", PageAddress(bank, block, 0), submit_us)
+        return self._service("erase", bank, block, 0, submit_us)
 
     # ---- introspection ---------------------------------------------------
 
@@ -435,10 +462,11 @@ class SimFlashDevice:
 
     def corrupt_spare(self, addr):
         """Test hook: garble a written page's spare (simulated torn write)."""
-        self._check_addr(addr)
-        blk = self._banks[addr.bank][addr.block]
-        if blk is not None and blk.spares[addr.page] is not None:
-            blk.spares[addr.page] = b"\x00" * len(blk.spares[addr.page])
+        bank, block, page = addr
+        self._check_addr(bank, block, page)
+        blk = self._banks[bank][block]
+        if blk is not None and blk.spares[page] is not None:
+            blk.spares[page] = b"\x00" * len(blk.spares[page])
 
     # ---- persistence ------------------------------------------------------
 

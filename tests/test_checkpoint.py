@@ -324,6 +324,27 @@ def test_recovery_blank_device_all_free():
     assert int((state.map != UNMAPPED).sum()) == 0
 
 
+def test_restore_and_scan_clear_valid_bits_already_set():
+    """Both restore paths write only the set bits of a table, so a table
+    that holds bits from before must come out exactly as the source."""
+    rng = random.Random(5)
+    sched, device, state, _ = fresh_pair()
+    for _ in range(30):
+        state.valid_bits[rng.randrange(TINY.total_blocks),
+                         rng.randrange(TINY.pages_per_block)] = True
+    state.valid_count[:] = state.valid_bits.sum(axis=1)
+    blob = serialize_state(state)
+    osched, _, other, ckpt = fresh_pair()
+    other.valid_bits[:, ::3] = True
+    restore_state(other, blob)
+    assert np.array_equal(other.valid_bits, state.valid_bits)
+    # a blank card's scan clears the table, and an unset table stays unset
+    for bits in (other.valid_bits, np.zeros_like(other.valid_bits)):
+        other.valid_bits[:] = bits
+        osched.join(osched.spawn(ckpt.recovery_scan(), "scan"))
+        assert not other.valid_bits.any()
+
+
 def test_roundtrip_identity_property_loop():
     rng = random.Random(88)
     for case in range(100):

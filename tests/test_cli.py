@@ -44,6 +44,32 @@ def test_inject_aging_then_run_from_image(tmp_path, capsys):
     assert "request_errors: 0" in summary
 
 
+def test_aging_an_image_that_holds_data_is_refused_and_leaves_it(tmp_path,
+                                                                capsys):
+    image = tmp_path / "aged.img"
+    args = ["inject-aging", "--image", str(image), "--profile", "tiny",
+            "--free-mean", "8", "--free-spread", "2",
+            "--valid-mean", "3", "--valid-spread", "1", "--seed", "4"]
+    assert main(args) == 0
+    aged = image.read_bytes()
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "aging needs an empty mapping" in err and "Traceback" not in err
+    assert image.read_bytes() == aged
+
+
+@pytest.mark.parametrize("policy", ["PLLGC", "PLLGC_ADAPTIVE"])
+def test_run_without_a_collector_is_reported_with_status_2(tmp_path, capsys,
+                                                           policy):
+    rc = main(["run", "--profile", "tiny", "--policy", policy,
+               "--gc-threads", "0", "--region", "400", "--rounds", "6",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "max_gc_threads" in err
+
+
 def test_run_with_engine_config_file(tmp_path, capsys):
     conf = tmp_path / "engine.conf"
     conf.write_text("num_queues = 2\nnum_buffers = 4\ncpu_us = 12\n")

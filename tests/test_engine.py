@@ -40,6 +40,26 @@ def test_config_cross_validation():
     EngineConfig(levels=[GcLevel(4, 0), GcLevel(2, 2)]).validate()
 
 
+@pytest.mark.parametrize("kind", ["PLLGC", "PLLGC_ADAPTIVE"])
+def test_collector_policies_need_a_collector(kind):
+    # with no collector the first writer that runs out of space waits
+    # forever: the run below never finished
+    for threads in (0, -1):
+        config = EngineConfig(profile="tiny",
+                              policy=GcPolicy(kind=kind, max_gc_threads=threads))
+        with pytest.raises(ConfigurationError, match="max_gc_threads"):
+            Engine.start(config)
+    EngineConfig(policy=GcPolicy(kind=kind, max_gc_threads=1)).validate()
+
+
+def test_npgc_starts_no_collector_so_any_thread_count_is_accepted():
+    eng = Engine.start(EngineConfig(
+        profile="tiny", policy=GcPolicy(kind="NPGC", max_gc_threads=0)))
+    eng.write_sector(0, b"\x01" * SECTOR)
+    assert eng.read_sector(0) == b"\x01" * SECTOR
+    eng.shutdown(clean=True)
+
+
 BAD_TIMING = {
     # a zero period spins an actor at one virtual instant: the first write
     # of a tiny engine never returned with either of the first two
@@ -138,6 +158,22 @@ def test_dirty_shutdown_recovers_flushed_writes(tmp_path):
     for lsn in lost:
         assert eng2.read_sector(lsn) == b"\x00" * SECTOR
     eng2.shutdown(clean=True)
+
+
+def test_abort_stops_serving_and_leaves_the_image_file_as_it_was(tmp_path):
+    image = tmp_path / "card.img"
+    eng = tiny_engine(image_path=str(image))
+    eng.write_sector(0, b"\x05" * SECTOR)
+    eng.shutdown(clean=True)
+    saved = image.read_bytes()
+    eng = tiny_engine(image_path=str(image))
+    eng.write_sector(SPP, b"\x06" * SECTOR)
+    eng.flush()
+    eng.abort()
+    assert image.read_bytes() == saved
+    for call in (eng.abort, eng.shutdown, lambda: eng.read_sector(0)):
+        with pytest.raises(EngineStateError):
+            call()
 
 
 def test_double_shutdown_rejected(engine):

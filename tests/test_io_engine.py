@@ -75,21 +75,27 @@ def test_partial_eviction_of_unmapped_lpn_zero_fills(engine):
     assert eng.read_sector(4) == b"\x00" * SECTOR
 
 
+def idle(eng, us):
+    """Let `us` of virtual time pass on an otherwise idle engine."""
+    def wait():
+        yield us
+    eng.run(wait())
+
+
 def test_select_buffer_preference_order(engine):
     eng = engine
     io = eng.io
     slot, origin = io._select_buffer()
     assert origin == "empty"
+    io.empty_q.appendleft(slot.index)
+    # stage a full slot and a partial slot through the write path
+    for s in range(SPP):
+        wsec(eng, 100 * SPP + s)
+    idle(eng, 50)
+    wsec(eng, 101 * SPP)
     io.empty_q.clear()
-    # stage a full slot and a partial slot
-    full = io.slots[0]
-    full.lpn = 100
-    full.dirty = io.full_mask
-    io.full_q.append(0)
-    partial = io.slots[1]
-    partial.lpn = 101
-    partial.dirty = 1
-    partial.last_access = 50
+    assert eng.state.buf_find(100) == 0 and eng.state.buf_find(101) == 1
+    assert io.slots[0].dirty == io.full_mask and io.slots[1].dirty == 1
     got, origin = io._select_buffer()
     assert origin == "full" and got.index == 0
     got, origin = io._select_buffer()
@@ -99,17 +105,44 @@ def test_select_buffer_preference_order(engine):
 def test_select_buffer_lru_partial_oracle(engine):
     eng = engine
     io = eng.io
+    io.empty_q.popleft()
+    io.empty_q.popleft()
+    # install lpns 202-204 in slots 2-4, then touch them again, each at
+    # its own time, in an order other than the slots'
+    for idx in (2, 3, 4):
+        wsec(eng, (200 + idx) * SPP)
+    start = eng.sched.now
+    for idx in sorted((2, 3, 4), key=lambda i: i * 17 % 29):
+        idle(eng, start + idx * 17 % 29 - eng.sched.now)
+        wsec(eng, (200 + idx) * SPP + 1)
     io.empty_q.clear()
     stamps = {}
     for idx in (2, 3, 4):
         slot = io.slots[idx]
-        slot.lpn = 200 + idx
-        slot.dirty = 1
-        slot.last_access = idx * 17 % 29
+        assert slot.lpn == 200 + idx and slot.dirty == 0b11
         stamps[idx] = slot.last_access
     oracle = min(stamps, key=stamps.get)
     got, origin = io._select_buffer()
     assert origin == "partial" and got.index == oracle
+
+
+def test_partial_picks_of_one_instant_go_by_slot_index(engine):
+    """Slots written at the instant of a pick, before it and after it, tie
+    on last_access: the lowest slot index goes first."""
+    eng = engine
+    io = eng.io
+    for lpn in range(4):
+        wsec(eng, lpn * SPP)          # slots 0-3 partial, stamped in turn
+    io.empty_q.clear()
+    data = sector_payload("tie", SECTOR)
+    io._write_into_slot(io.slots[3], 1, data)
+    picks = []
+    for _ in range(4):
+        slot, origin = io._select_buffer()
+        assert origin == "partial"
+        picks.append(slot.index)
+        io._write_into_slot(slot, 2, data)      # as the installing write does
+    assert picks == [0, 1, 2, 0]
 
 
 def take_page(eng, exclude=()):
@@ -333,12 +366,18 @@ def test_every_buffer_pick_finds_a_slot(seed):
                         daemon_tick_us=1_500),
         policy=GcPolicy(kind="PLLGC", max_gc_threads=1)))
     select = eng.io._select_buffer
-    origins, faults = [], []
+    origins, faults, partial_picks = [], [], []
 
     def checked_select():
         faults.extend(buffer_queue_faults(eng.io))
+        io = eng.io
+        partial = [(slot.last_access, slot.index) for slot in io.slots
+                   if slot.lpn is not None and slot.dirty != io.full_mask]
         slot, origin = select()
         origins.append(origin)
+        if origin == "partial":
+            # the least (last_access, index) over the partial slots
+            partial_picks.append((slot.index, min(partial)[1]))
         return slot, origin
 
     eng.io._select_buffer = checked_select
@@ -349,6 +388,8 @@ def test_every_buffer_pick_finds_a_slot(seed):
             lpn = rng.randrange(24)
             if rng.random() < 0.05:
                 reqs = [IoRequest("flush", 0)]
+            elif rng.random() < 0.2:       # a read hit touches its slot
+                reqs = [IoRequest("read", lpn * SPP + rng.randrange(SPP))]
             elif rng.random() < 0.3:       # a whole page: the slot fills
                 reqs = [IoRequest("write", lpn * SPP + s,
                                   sector_payload((cid, i, s), SECTOR))
@@ -368,6 +409,8 @@ def test_every_buffer_pick_finds_a_slot(seed):
     faults.extend(buffer_queue_faults(eng.io))
     assert faults == []
     assert {"empty", "full", "partial"} <= set(origins)
+    assert len(partial_picks) >= 10
+    assert all(got == least for got, least in partial_picks), partial_picks
     assert eng.io.counters["daemon_flushes"] > 0
     eng.flush()
     assert buffer_queue_faults(eng.io) == []

@@ -411,25 +411,50 @@ def test_card512_image_roundtrip(tmp_path):
         copy.write_page(PageAddress(63, 4095, 1), b"\x01" * CARD.page_size)
 
 
-def clock_oracle(geometry, model, requests):
-    """Completion times of (kind, bank, submit_us) requests, issued in order:
-    a transfer holds the request's queue and its interface's bus, then the
-    execution holds its bank. Reads here are one read unit."""
-    slices = {"write": (model.write_transfer_us, model.write_page_us),
-              "erase": (model.erase_transfer_us, model.erase_block_us),
-              "read": (model.read_transfer_us, model.read_unit_us)}
-    free = {}
-    done = []
-    for kind, bank, submit in requests:
-        itf = bank // geometry.banks_per_interface
-        queue = ("rq", bank // 2) if kind == "read" else (kind, itf)
-        transfer, total = slices[kind]
-        start = max(submit, free.get(queue, 0), free.get(("bus", itf), 0))
-        free[queue] = free[("bus", itf)] = start + transfer
-        end = max(start + transfer, free.get(("bank", bank), 0)) + total - transfer
-        free[("bank", bank)] = end
-        done.append(end)
-    return done
+class ServiceModel:
+    """The request path's clock arithmetic, written out plainly: a request
+    starts when it is submitted and its interface's bus (a read also its
+    read queue) is free, holds them for its transfer slice, then holds its
+    bank for the rest of its latency. A read of n units costs n times a
+    unit's slices. Also keeps the request log and the request counters."""
+
+    def __init__(self, geometry, model):
+        self.g, self.m = geometry, model
+        self.bus_free_at = [0] * geometry.num_interfaces
+        self.bank_free_at = [0] * geometry.num_banks
+        self.queue_free_at = [0] * ((geometry.num_banks + 1) // 2)
+        self.now_us = 0
+        self.log = []
+        self.stats = dict(pages_written=0, read_ops=0, read_units=0,
+                          blocks_erased=0, requests_accepted=0)
+
+    def service(self, kind, addr, submit_us, units=1):
+        g, m = self.g, self.m
+        if submit_us is None:
+            submit_us = self.now_us
+        bank, block, page = addr
+        itf = bank // g.banks_per_interface
+        start = max(submit_us, self.bus_free_at[itf])
+        if kind == "write":
+            transfer, total = m.write_transfer_us, m.write_page_us
+            self.stats["pages_written"] += 1
+        elif kind == "erase":
+            transfer, total = m.erase_transfer_us, m.erase_block_us
+            self.stats["blocks_erased"] += 1
+        else:
+            start = max(start, self.queue_free_at[bank // 2])
+            transfer, total = m.read_transfer_us * units, m.read_unit_us * units
+            self.queue_free_at[bank // 2] = start + transfer
+            self.stats["read_ops"] += 1
+            self.stats["read_units"] += units
+        self.bus_free_at[itf] = start + transfer
+        done = max(start + transfer, self.bank_free_at[bank]) + total - transfer
+        self.bank_free_at[bank] = done
+        self.now_us = max(self.now_us, done)
+        rid = len(self.log)
+        self.log.append((rid, kind, bank, block, page, submit_us, done))
+        self.stats["requests_accepted"] += 1
+        return rid, submit_us, done
 
 
 def test_out_of_order_completions_match_clock_oracle():
@@ -459,9 +484,111 @@ def test_out_of_order_completions_match_clock_oracle():
         issued.append((kind, bank, submit))
     log = dev.request_log
     assert [(row[1], row[2], row[5]) for row in log] == issued
-    assert [row[6] for row in log] == clock_oracle(g, dev.model, issued)
+    ref = ServiceModel(g, dev.model)
+    assert [row[6] for row in log] == [ref.service(kind, (bank, 0, 0), submit)[2]
+                                       for kind, bank, submit in issued]
     by_completion = sorted(log, key=lambda row: (row[6], row[0]))
     assert [row[0] for row in by_completion] != [row[0] for row in log]
+
+
+# two banks of one read queue sit on different interfaces (odd
+# banks_per_interface), so the queue, not the bus, can hold a read back
+ODD = FlashGeometry(3, 3, 8, 8, 2048, 32, 256)
+ODD_MODEL = LatencyModel(write_page_us=170, read_unit_us=90, erase_block_us=1500,
+                         write_transfer_us=30, read_transfer_us=70,
+                         erase_transfer_us=5)
+
+
+@pytest.mark.parametrize("geometry, model", [
+    (TINY, None), (PROFILES["desk8"], None), (PROFILES["card512"], None),
+    (ODD, ODD_MODEL)], ids=["tiny", "desk8", "card512", "odd"])
+def test_request_path_matches_the_service_model(geometry, model):
+    rng = random.Random(geometry.num_banks)
+    dev = SimFlashDevice(geometry, model)
+    dev.enable_request_log()
+    ref = ServiceModel(geometry, dev.model)
+    g, spp, unit = geometry, geometry.sectors_per_page, geometry.read_unit
+    blocks = [(rng.randrange(g.num_banks), rng.randrange(g.blocks_per_bank))
+              for _ in range(2 * g.num_banks)]
+    for _ in range(1500):
+        bank, block = rng.choice(blocks)
+        # both address forms make the same request
+        make = rng.choice([PageAddress, lambda *a: a])
+        submit = rng.choice([None, rng.randrange(ref.now_us + 3000)])
+        roll = rng.random()
+        if roll < 0.3 and dev.written_prefix(bank, block) < g.pages_per_block:
+            addr = make(bank, block, dev.written_prefix(bank, block))
+            desc = dev.write_page(addr, bytes([rng.randrange(256)]) * g.page_size,
+                                  b"sp", submit_us=submit)
+            expect = ref.service("write", addr, submit)
+        elif roll < 0.35:
+            desc = dev.erase_block(bank, block, submit_us=submit)
+            expect = ref.service("erase", (bank, block, 0), submit)
+        else:
+            addr = make(bank, block, rng.randrange(g.pages_per_block))
+            first = rng.choice([0, rng.randrange(spp)])
+            units = rng.randint(1, spp - first)
+            if rng.random() < 0.2:
+                length, units = None, spp - first       # to the page's end
+            else:
+                length = units * unit
+            _, _, desc = dev.read_page(addr, first * unit, length,
+                                       want_spare=rng.random() < 0.5,
+                                       submit_us=submit)
+            expect = ref.service("read", addr, submit, units)
+        assert (desc.request_id, desc.submit_us, desc.complete_us) == expect
+        assert dev.now_us == ref.now_us
+    assert dev.bus_free_at == ref.bus_free_at
+    assert dev.bank_free_at == ref.bank_free_at
+    assert [q.free_at for q in dev.read_queues] == ref.queue_free_at
+    assert dev.request_log == ref.log
+    stats = vars(dev.device_stats())
+    assert {k: stats[k] for k in ref.stats} == ref.stats
+    assert {row[1] for row in ref.log} == {"read", "write", "erase"}
+
+
+REQUEST_CHECKS = {
+    "read bank": (lambda dev, a: dev.read_page(a(4, 0, 0)), AddressError,
+                  "bank 4 block 0 out of range"),
+    "read block": (lambda dev, a: dev.read_page(a(0, 16, 0)), AddressError,
+                   "bank 0 block 16 out of range"),
+    "read page": (lambda dev, a: dev.read_page(a(0, 0, 8)), AddressError,
+                  "page 8 out of range"),
+    "read page -1": (lambda dev, a: dev.read_page(a(0, 0, -1)), AddressError,
+                     "page -1 out of range"),
+    "read window": (lambda dev, a: dev.read_page(a(0, 0, 0), 256, PAGE),
+                    AddressError, "read window outside page"),
+    "read unit": (lambda dev, a: dev.read_page(a(0, 0, 0), 0, 100), AddressError,
+                  "reads are read_unit granular"),
+    "write bank": (lambda dev, a: dev.write_page(a(-1, 0, 0), page_of(1)),
+                   AddressError, "bank -1 block 0 out of range"),
+    "write page": (lambda dev, a: dev.write_page(a(0, 0, 8), page_of(1)),
+                   AddressError, "page 8 out of range"),
+    "payload": (lambda dev, a: dev.write_page(a(0, 0, 0), b"x"), AddressError,
+                "write payload must be one full page"),
+    "spare": (lambda dev, a: dev.write_page(a(0, 0, 0), page_of(1), b"s" * 33),
+              AddressError, "spare payload exceeds spare area"),
+    "bad block": (lambda dev, a: dev.write_page(a(1, 3, 0), page_of(1)),
+                  BadBlockError, "bank 1 block 3 is bad"),
+    "overwrite": (lambda dev, a: dev.write_page(a(0, 1, 0), page_of(1)),
+                  OverwriteViolation, "page 0 already written in block 1"),
+    "sequencing": (lambda dev, a: dev.write_page(a(0, 1, 2), page_of(1)),
+                   SequencingViolation, "expected page 1, got 2"),
+}
+
+
+@pytest.mark.parametrize("case", REQUEST_CHECKS)
+@pytest.mark.parametrize("form", [PageAddress, lambda *a: a],
+                         ids=["PageAddress", "tuple"])
+def test_request_checks_and_messages_for_both_address_forms(case, form):
+    call, error, message = REQUEST_CHECKS[case]
+    dev = tiny_device(bad_blocks=[(1, 3)])
+    dev.write_page(PageAddress(0, 1, 0), page_of(2))
+    accepted = dev.device_stats().requests_accepted
+    with pytest.raises(error) as info:
+        call(dev, form)
+    assert str(info.value) == message
+    assert dev.device_stats().requests_accepted == accepted
 
 
 # ---- flash images are parsed, never executed ---------------------------------
@@ -770,16 +897,16 @@ def test_every_out_of_range_address_is_rejected(geometry):
         for call in (lambda: dev.erase_block(bank, block),
                      lambda: dev.block_state(bank, block),
                      lambda: dev.written_prefix(bank, block),
-                     lambda: dev.write_page(PageAddress(bank, block, 0), data),
-                     lambda: dev.read_page(PageAddress(bank, block, 0)),
-                     lambda: dev.corrupt_spare(PageAddress(bank, block, 0)),
                      lambda: SimFlashDevice(g, bad_blocks=[(bank, block)])):
             with pytest.raises(AddressError):
                 call()
+    # a PageAddress and a plain (bank, block, page) tuple alike
     last = (g.num_banks - 1, g.blocks_per_bank - 1)
-    for bank, block in ((0, 0), last):
-        for page in pages:
-            addr = PageAddress(bank, block, page)
+    addrs = [(bank, block, 0) for bank, block in bad_pairs]
+    addrs += [(bank, block, page) for bank, block in ((0, 0), last)
+              for page in pages]
+    for bank, block, page in addrs:
+        for addr in (PageAddress(bank, block, page), (bank, block, page)):
             for call in (lambda: dev.write_page(addr, data),
                          lambda: dev.read_page(addr),
                          lambda: dev.corrupt_spare(addr)):
