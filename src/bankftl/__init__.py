@@ -14,7 +14,7 @@ from .errors import (AuditError, BadBlockError, CheckpointError,
 from .ftl_state import UNMAPPED, FtlState
 from .gc_engine import GcController, GcLevel, GcPolicy, GcStats, default_levels
 from .io_engine import EngineParams, IoEngine, IoRequest
-from .sched import Scheduler, run_actor
+from .sched import Scheduler
 from .sim_flash import (PROFILES, FlashGeometry, LatencyModel, PageAddress,
                         SimFlashDevice, load_profile, make_device, save_profile)
 

@@ -13,7 +13,6 @@ only to the GC controller.
 """
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 from .checkpoint import Checkpointer
@@ -47,16 +46,21 @@ class EngineConfig:
         if io.num_buffers < 1:
             raise ConfigurationError("need at least one buffer")
         # a wait must move the virtual clock forward (a zero poll period
-        # spins an actor at one instant forever), a cost must not move it back
-        for owner, name in ((io, "daemon_tick_us"), (io, "gc_wait_us"),
-                            (io, "exhaust_timeout_us"), (policy, "idle_poll_us"),
-                            (policy, "master_tick_us")):
-            if getattr(owner, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
-        for owner, name in ((io, "cpu_us"), (policy, "copy_cpu_us"),
-                            (policy, "round_cpu_us"), (policy, "scan_cpu_us")):
-            if getattr(owner, name) < 0:
-                raise ConfigurationError(f"{name} must not be negative")
+        # spins an actor at one instant forever, and the scheduler truncates
+        # a fractional one to zero), a cost must not move it back
+        for owner, name, least in (
+                (io, "daemon_tick_us", 1), (io, "gc_wait_us", 1),
+                (io, "exhaust_timeout_us", 1), (policy, "idle_poll_us", 1),
+                (policy, "master_tick_us", 1), (io, "cpu_us", 0),
+                (policy, "copy_cpu_us", 0), (policy, "round_cpu_us", 0),
+                (policy, "scan_cpu_us", 0)):
+            value = getattr(owner, name)
+            if not isinstance(value, int):
+                raise ConfigurationError(
+                    f"{name} must be a whole number of microseconds")
+            if value < least:
+                raise ConfigurationError(f"{name} must be positive" if least
+                                         else f"{name} must not be negative")
         if not (0 <= io.idle_flush_seconds < math.inf):
             raise ConfigurationError("idle_flush_seconds must be finite and "
                                      "not negative")
@@ -83,11 +87,11 @@ class EngineConfig:
 
 
 class Engine:
-    """Live engine handle. start()/shutdown() must not race each other;
-    everything else is safe from any thread. Below this facade, every actor
-    runs on one cooperative scheduler and takes no lock; the pump lock is
-    the one boundary for OS threads, and every method that submits, pumps
-    or reads engine state holds it."""
+    """Live engine handle, driven from one OS thread. Every actor below it
+    runs on one cooperative scheduler and takes no lock. `submit` queues a
+    request and `pump` runs the scheduler until an event fires; `run` and
+    the synchronous sector methods pump until their generator or request
+    is done."""
 
     def __init__(self, config):
         self.config = config.validate()
@@ -121,7 +125,6 @@ class Engine:
         self.io.gc = self.gc
         self.live = False
         self.recovered_via = "fresh"
-        self._pump_lock = threading.RLock()
         self._workers = []
         self._daemon = None
         self._baseline = None
@@ -194,27 +197,23 @@ class Engine:
     def run(self, gen, name="sync"):
         """Drive a generator to completion on the engine scheduler,
         surfacing the actor's own exception type."""
-        with self._pump_lock:
-            actor = self.sched.spawn(gen, name)
-            try:
-                return self.sched.join(actor)
-            except ActorFailed as failure:
-                raise failure.exc from None
+        actor = self.sched.spawn(gen, name)
+        try:
+            return self.sched.join(actor)
+        except ActorFailed as failure:
+            raise failure.exc from None
 
     def submit(self, req):
-        with self._pump_lock:
-            return self.io.submit(req)
+        return self.io.submit(req)
 
     def pump(self, event):
-        with self._pump_lock:
-            return self.sched.pump(event)
+        return self.sched.pump(event)
 
     def _sync(self, req):
         if not self.live:
             raise EngineStateError("engine is not serving")
-        with self._pump_lock:
-            self.io.submit(req)
-            self.sched.pump(req.done)
+        self.io.submit(req)
+        self.sched.pump(req.done)
         if req.error is not None:
             raise req.error
         return req.result
@@ -231,18 +230,15 @@ class Engine:
     # ---- introspection --------------------------------------------------------------
 
     def reset_baseline(self):
-        with self._pump_lock:
-            self._baseline = (self.device.device_stats(),
-                              dict(self.io.counters),
-                              self.gc.stats.snapshot())
+        self._baseline = (self.device.device_stats(),
+                          dict(self.io.counters),
+                          self.gc.stats.snapshot())
 
     def stats(self):
-        with self._pump_lock:
-            dev = self.device.device_stats()
-            base_dev, base_io, base_gc = self._baseline
-            io = {k: v - base_io.get(k, 0) for k, v in self.io.counters.items()}
-            gc = self.gc.stats.delta(base_gc)
-            now = self.sched.now
+        dev = self.device.device_stats()
+        base_dev, base_io, base_gc = self._baseline
+        io = {k: v - base_io.get(k, 0) for k, v in self.io.counters.items()}
+        gc = self.gc.stats.delta(base_gc)
         flash_pages = dev.pages_written - base_dev.pages_written
         spp = self.device.geometry.sectors_per_page
         user_pages = io["user_sectors_written"] / spp
@@ -258,21 +254,19 @@ class Engine:
                 "wear_events": dev.wear_events,
             },
             "write_amplification": wa,
-            "elapsed_us": now,
+            "elapsed_us": self.sched.now,
         }
 
     def audit(self, deep=False):
-        with self._pump_lock:
-            return self.state.audit(self.device if deep else None)
+        return self.state.audit(self.device if deep else None)
 
     def dirty_sectors(self):
         """LSNs currently dirty in cache buffers (crash-test oracle aid)."""
         out = []
-        with self._pump_lock:
-            for slot in self.io.slots:
-                if slot.lpn is None:
-                    continue
-                for s in range(self.io.spp):
-                    if slot.dirty & (1 << s):
-                        out.append(slot.lpn * self.io.spp + s)
+        for slot in self.io.slots:
+            if slot.lpn is None:
+                continue
+            for s in range(self.io.spp):
+                if slot.dirty & (1 << s):
+                    out.append(slot.lpn * self.io.spp + s)
         return sorted(out)

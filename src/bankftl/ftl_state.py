@@ -16,9 +16,8 @@ victim choice skips it. Code that writes the arrays directly calls
 Every caller is an actor on one cooperative scheduler, and each method runs
 to completion within one scheduler step, so no method takes a lock. The
 exclusions that must outlast a virtual wait are explicit state: each bank's
-`gc_active`, `exclusive_gc` and `writers_active`. OS threads reach these
-tables only through the `Engine` facade, whose pump lock admits one at a
-time. audit() needs a quiescent engine.
+`gc_active`, `exclusive_gc` and `writers_active`. The `Engine` facade
+drives that scheduler from one OS thread. audit() needs a quiescent engine.
 """
 
 import numpy as np

@@ -39,6 +39,7 @@ from .errors import (AddressError, ConfigurationError, EngineStateError,
                      ExhaustionError)
 from .ftl_state import UNMAPPED
 from .sched import Event
+from .sim_flash import parse_key_values
 
 
 @dataclass
@@ -55,12 +56,7 @@ class EngineParams:
     @classmethod
     def from_text(cls, text):
         params = cls()
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
+        for key, value in parse_key_values(text.splitlines()).items():
             if not hasattr(params, key):
                 raise ConfigurationError(f"unknown engine config key {key!r}")
             convert = float if isinstance(getattr(params, key), float) else int
@@ -131,7 +127,6 @@ class IoEngine:
         self.gc = None                    # wired by the facade
         self.cores = None                 # host CorePool, wired by the facade
         self.running = False
-        self.active_workers = 0
         self.last_work_us = [-10**15] * self.params.num_queues
         self._busy = [False] * self.params.num_queues
         self.counters = {
@@ -232,11 +227,9 @@ class IoEngine:
             if not queue:
                 if not self.running:
                     return
-                self.active_workers -= 1
                 wake.fired = False            # re-arm; submit or stop fires it
                 self._wake[qi] = wake
                 yield wake
-                self.active_workers += 1
                 continue
             req = queue.popleft()
             self._busy[qi] = True
@@ -577,7 +570,6 @@ class IoEngine:
 
     def start_workers(self):
         self.running = True
-        self.active_workers = self.params.num_queues
         return [self.sched.spawn(self.worker_loop(qi), f"io-worker-{qi}")
                 for qi in range(self.params.num_queues)]
 

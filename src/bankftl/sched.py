@@ -231,10 +231,3 @@ class CorePool:
         done = start + duration_us
         free_at[best] = done
         return done - now
-
-
-def run_actor(gen, seed=0):
-    """Drive a single generator to completion on a fresh scheduler (test aid)."""
-    sched = Scheduler(seed)
-    actor = sched.spawn(gen, "main")
-    return sched.join(actor)

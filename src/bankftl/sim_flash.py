@@ -87,10 +87,6 @@ class FlashGeometry:
         return self.total_blocks * self.pages_per_block
 
     @property
-    def capacity_bytes(self):
-        return self.total_pages * self.page_size
-
-    @property
     def sectors_per_page(self):
         return self.page_size // self.read_unit
 
@@ -516,7 +512,7 @@ class SimFlashDevice:
     def _from_sections(cls, payload):
         prof, cntr, wear, blks = oob.unpack_sections(payload, _SECTIONS,
                                                      ValueError)
-        dev = cls(*parse_profile(_profile_fields(str(prof, "utf-8").splitlines())))
+        dev = cls(*parse_profile(parse_key_values(str(prof, "utf-8").splitlines())))
         g = dev.geometry
         k = len(_COUNTERS)
         counters = struct.unpack(f"<{1 + k + g.num_banks}Q", cntr)
@@ -601,7 +597,10 @@ def parse_profile(d):
     return geometry.validate(), model.validate(), bad
 
 
-def _profile_fields(lines):
+def parse_key_values(lines):
+    """`key = value` lines as a dict of stripped strings; `#` starts a
+    comment and blank lines are skipped. Device profiles and engine config
+    files share this format."""
     d = {}
     for line in lines:
         line = line.split("#", 1)[0].strip()
@@ -618,7 +617,7 @@ def _profile_text(d):
 
 def load_profile(path):
     with open(path) as fh:
-        return parse_profile(_profile_fields(fh))
+        return parse_profile(parse_key_values(fh))
 
 
 def save_profile(path, geometry, model, bad_blocks=()):

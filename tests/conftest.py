@@ -10,7 +10,6 @@ from bankftl.ftl_state import UNMAPPED
 from bankftl.gc_engine import GcPolicy
 from bankftl.io_engine import EngineParams
 from bankftl.oob import TYPE_DATA, encode_spare
-from bankftl.sched import Scheduler
 from bankftl.sim_flash import FlashGeometry, LatencyModel, PageAddress, SimFlashDevice
 
 TINY = FlashGeometry(2, 2, 16, 8, 2048, 32, 256)
@@ -45,11 +44,6 @@ def traced_memory():
         mem.held, mem.peak = held - base, peak - base
     finally:
         tracemalloc.stop()
-
-
-def run_gen(gen, seed=0):
-    sched = Scheduler(seed)
-    return sched.join(sched.spawn(gen, "test"))
 
 
 def sector_payload(tag, size):

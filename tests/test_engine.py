@@ -1,7 +1,5 @@
 import math
 import random
-import sys
-import threading
 
 import pytest
 
@@ -74,6 +72,12 @@ BAD_TIMING = {
     "copy_cpu_us=-1": (None, GcPolicy(copy_cpu_us=-1)),
     "round_cpu_us=-1": (None, GcPolicy(round_cpu_us=-1)),
     "scan_cpu_us=-1": (None, GcPolicy(scan_cpu_us=-1)),
+    # the scheduler truncates a fractional yield to 0 us: the first write
+    # of a tiny engine spun at t=0 with either of the first two, and took
+    # 0 us with the third
+    "daemon_tick_us=0.5": (EngineParams(daemon_tick_us=0.5), None),
+    "idle_poll_us=0.5": (None, GcPolicy(idle_poll_us=0.5)),
+    "cpu_us=0.5": (EngineParams(cpu_us=0.5), None),
     "idle_flush_seconds=-1": (EngineParams(idle_flush_seconds=-1.0), None),
     "idle_flush_seconds=inf": (EngineParams(idle_flush_seconds=math.inf), None),
     "idle_flush_seconds=nan": (EngineParams(idle_flush_seconds=math.nan), None),
@@ -226,61 +230,102 @@ def test_deterministic_restart_cycle(tmp_path):
     eng.shutdown(clean=True)
 
 
-def test_os_threads_share_one_engine():
-    """The pump lock is the one boundary for OS threads: four of them drive
-    one engine on disjoint sector ranges through the synchronous and the
-    asynchronous surface while GC collectors run underneath."""
-    eng = tiny_engine(policy=GcPolicy(kind="PLLGC", max_gc_threads=2),
-                      queues=4, buffers=4, export_ratio=0.6)
-    span = 40 * SPP
+def _client_mix(t, span, ops, seed=0):
+    """Client `t`'s operations on its own sectors `t * span` onward:
+    (kind, lsn, data) with kind "write" (synchronous), "async" (submit and
+    wait), "read" or "check" (dirty sectors and stats)."""
+    rng = random.Random(seed * 4 + t)
+    for i in range(ops):
+        lsn = t * span + rng.randrange(span)
+        roll = rng.random()
+        if roll < 0.45:
+            yield "write", lsn, sector_payload((t, i), SECTOR)
+        elif roll < 0.65:
+            yield "async", lsn, sector_payload((t, i, "async"), SECTOR)
+        elif roll < 0.95:
+            yield "read", lsn, None
+        else:
+            yield "check", lsn, None
+
+
+def _shared_engine(seed=0):
+    return tiny_engine(policy=GcPolicy(kind="PLLGC", max_gc_threads=2),
+                       queues=4, buffers=4, export_ratio=0.6, seed=seed)
+
+
+def test_interleaved_clients_share_one_engine():
+    """Four clients drive one engine on disjoint sector ranges through the
+    synchronous and the asynchronous surface while GC collectors run
+    underneath. One caller runs their operations in a seeded shuffled
+    order, one request in flight at a time."""
+    eng = _shared_engine()
+    span, ops = 40 * SPP, 400
     shadows = [{} for _ in range(4)]
-    errors = []
 
     def client(t):
-        rng = random.Random(t)
         shadow = shadows[t]
-        try:
-            for i in range(400):
-                lsn = t * span + rng.randrange(span)
-                roll = rng.random()
-                if roll < 0.45:
-                    data = sector_payload((t, i), SECTOR)
-                    eng.write_sector(lsn, data)
-                    shadow[lsn] = data
-                elif roll < 0.65:
-                    data = sector_payload((t, i, "async"), SECTOR)
-                    req = eng.submit(IoRequest("write", lsn, data))
-                    eng.pump(req.done)
-                    assert req.error is None, req.error
-                    shadow[lsn] = data
-                elif roll < 0.95:
-                    assert eng.read_sector(lsn) == shadow.get(lsn, b"\x00" * SECTOR)
-                else:
-                    mine = [s for s in eng.dirty_sectors()
-                            if t * span <= s < (t + 1) * span]
-                    assert set(mine) <= set(shadow)
-                    assert eng.stats()["io"]["user_sectors_written"] >= len(shadow)
-        except Exception as exc:            # reported by the main thread
-            errors.append((t, exc))
+        for kind, lsn, data in _client_mix(t, span, ops):
+            if kind == "write":
+                eng.write_sector(lsn, data)
+                shadow[lsn] = data
+            elif kind == "async":
+                req = eng.submit(IoRequest("write", lsn, data))
+                eng.pump(req.done)
+                assert req.error is None, req.error
+                shadow[lsn] = data
+            elif kind == "read":
+                assert eng.read_sector(lsn) == shadow.get(lsn, b"\x00" * SECTOR)
+            else:
+                mine = [s for s in eng.dirty_sectors()
+                        if t * span <= s < (t + 1) * span]
+                assert set(mine) <= set(shadow)
+                assert eng.stats()["io"]["user_sectors_written"] >= len(shadow)
+            yield
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=client, args=(t,)) for t in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
+    clients = [client(t) for t in range(4)]
+    order = [t for t in range(4) for _ in range(ops)]
+    random.Random(17).shuffle(order)
+    for t in order:
+        next(clients[t])
     eng.audit(deep=True)
     for shadow in shadows:
         for lsn, data in shadow.items():
             assert eng.read_sector(lsn) == data
     assert eng.gc.stats.blocks_collected > 0
     eng.shutdown(clean=True)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: an evicted page is unfindable while it is programmed, "
+    "so a read of its LPN from another queue returns the old mapping"))
+def test_concurrent_clients_read_their_own_writes():
+    """The interleaved clients' writes and reads as four client actors that
+    each wait on every request, so several requests are in flight at once.
+    Each client owns its sectors: every read must return its last write."""
+    span, ops = 40 * SPP, 400
+    stale = []
+    for seed in range(10):
+        eng = _shared_engine(seed)
+
+        def client(t):
+            shadow = {}
+            for kind, lsn, data in _client_mix(t, span, ops, seed):
+                if kind == "check":
+                    continue
+                req = (IoRequest("read", lsn) if kind == "read"
+                       else IoRequest("write", lsn, data))
+                yield eng.io.submit(req)
+                assert req.error is None, req.error
+                if kind != "read":
+                    shadow[lsn] = data
+                elif req.result != shadow.get(lsn, b"\x00" * SECTOR):
+                    stale.append((seed, t, lsn))
+
+        actors = [eng.sched.spawn(client(t), f"client-{t}") for t in range(4)]
+        for actor in actors:
+            eng.sched.join(actor)
+        eng.shutdown(clean=True)
+    assert stale == []
 
 
 # ---- engine construction leaves the caller's objects alone --------------------

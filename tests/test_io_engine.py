@@ -592,7 +592,6 @@ def _snapshot(eng, records):
         "free_at": list(eng.cores.free_at),
         "last_work_us": list(io.last_work_us),
         "busy": list(io._busy),
-        "active_workers": io.active_workers,
         "io": dict(io.counters),
         "gc": dict(vars(eng.gc.stats)),
         "device": eng.device.device_stats(),
