@@ -120,7 +120,19 @@ def _client_pages(spec, tid):
                 yield base + i
 
 
-def _client_actor(eng, spec, tid, samples, thread_sums, errors):
+def _acknowledged(reqs, tid, errors):
+    """Waits on every request of `reqs`, records the failed ones and
+    empties `reqs`."""
+    for req in reqs:
+        if not req.fired:
+            yield req
+        if req.error is not None:
+            errors.append((tid, req.lsn, repr(req.error)))
+    reqs.clear()
+
+
+def _client_actor(eng, spec, tid, pattern, samples, thread_sums, errors):
+    """One client; `pattern` is a page of the bytes every client writes."""
     g = eng.device.geometry
     spp = g.sectors_per_page
     sector = g.read_unit
@@ -128,7 +140,7 @@ def _client_actor(eng, spec, tid, samples, thread_sums, errors):
     if io_size % sector or g.page_size % io_size:
         raise ConfigurationError("io_size must divide the page and be sectors")
     sync_every = spec.sync_every or io_size
-    payload = b"\xa5" * sector
+    payload = pattern[:sector]
     rng = random.Random((spec.seed << 20) ^ tid)
     if spec.start_jitter_us:
         yield rng.randrange(spec.start_jitter_us)
@@ -137,33 +149,26 @@ def _client_actor(eng, spec, tid, samples, thread_sums, errors):
     pending = []
     for page_index in _client_pages(spec, tid):
         t0 = eng.sched.now
-        for s in range(spp):
-            req = IoRequest("write", page_index * spp + s, payload)
-            unsynced += sector
-            if not pending and unsynced >= sync_every:
-                # this request alone completes a sync unit: wait on it now
-                if not eng.io.submit_inline(req):
+        lsn, end = page_index * spp, (page_index + 1) * spp
+        if sync_every <= sector:
+            # each sector is its own sync unit: the buffered run from `lsn`
+            # is served in this step, and the sector it stops at is queued
+            while lsn < end:
+                lsn += eng.io.write_run(lsn, pattern[lsn % spp * sector:])
+                if lsn < end:
+                    req = eng.io.submit(IoRequest("write", lsn, payload))
                     yield req
-                if req.error is not None:
-                    errors.append((tid, req.lsn, repr(req.error)))
-                unsynced = 0
-                continue
-            eng.io.submit(req)
-            pending.append(req)
-            if unsynced >= sync_every:
-                for p in pending:
-                    if not p.done.fired:
-                        yield p.done
-                    if p.error is not None:
-                        errors.append((tid, p.lsn, repr(p.error)))
-                pending.clear()
-                unsynced = 0
-        for p in pending:
-            if not p.done.fired:
-                yield p.done
-            if p.error is not None:
-                errors.append((tid, p.lsn, repr(p.error)))
-        pending.clear()
+                    if req.error is not None:
+                        errors.append((tid, lsn, repr(req.error)))
+                    lsn += 1
+        else:
+            for lsn in range(lsn, end):
+                pending.append(eng.io.submit(IoRequest("write", lsn, payload)))
+                unsynced += sector
+                if unsynced >= sync_every:
+                    yield from _acknowledged(pending, tid, errors)
+                    unsynced = 0
+            yield from _acknowledged(pending, tid, errors)
         latency = eng.sched.now - t0
         samples.append([len(samples), g.page_size, latency, tid])
         thread_sums[tid][0] += latency
@@ -195,8 +200,9 @@ def drive(eng, spec, preset=""):
     errors = []
     thread_sums = {tid: [0, 0] for tid in range(spec.num_client_threads)}
     t_start = eng.sched.now
+    pattern = memoryview(b"\xa5" * eng.device.geometry.page_size)
     actors = [eng.sched.spawn(
-        _client_actor(eng, spec, tid, samples, thread_sums, errors),
+        _client_actor(eng, spec, tid, pattern, samples, thread_sums, errors),
         f"client-{tid}")
         for tid in range(spec.num_client_threads)]
     for a in actors:

@@ -18,13 +18,19 @@ buffer; exclusion that must outlast a virtual wait is explicit per-bank
 state (`gc_active`, `exclusive_gc`, `writers_active`). Whether a write
 collects inline first is the GC controller's decision (`GcController.inline`).
 
-A caller that waits on its request at once may submit it with
-`submit_inline`. A buffer hit is then served in the caller's own step when
-the scheduler would run the queued handoff (worker wakes, charges its CPU
-cost, is resumed in place, fires the request) with no other actor in
-between; the caller books the same core, moves the clock to the end of the
-charge and runs the same hit code. Virtual time, counters and heap order
-are those of the handoff. Every other request is queued as by `submit`.
+A caller that submits one-sector writes to one page and waits on each
+before the next may hand the whole run to `write_run`. A sector is served in
+the caller's own step when the scheduler would run its queued handoff
+(worker wakes, charges its CPU cost, is resumed in place, fires the request)
+with no other actor in between: the worker is parked, the LPN is buffered,
+no actor is ready, the event being pumped has not fired, and the charge's
+end is strictly before the next heap entry (`Scheduler.in_place_until`).
+Within one LPN and one step only that end moves from sector to sector, so
+the run books each sector's core through `CorePool.charge`, moves the clock
+to its end, and stops at the first sector that would be queued; the slot's
+bytes, dirty bits and stamp then change once. Virtual time, counters and
+heap order are those of the handoffs. The caller submits the sector the run
+stopped at with `submit`.
 
 Device backpressure is inherent in the device's one, synchronous request
 path (queue occupancy is charged as wait time), so no retry/backoff loop is
@@ -146,10 +152,10 @@ class IoEngine:
 
     # ---- dispatch ---------------------------------------------------------
 
-    def _dispatch(self, req):
-        """A request's queue, by LPN: writes of one LPN stay in submission
+    def _dispatch(self, lsn):
+        """A sector's queue, by LPN: writes of one LPN stay in submission
         order on one worker."""
-        return (req.lsn // self.spp) % self.params.num_queues
+        return (lsn // self.spp) % self.params.num_queues
 
     def recent_active(self, window_us, now_us):
         """Workers mid-request or that finished one within the window; this
@@ -158,65 +164,67 @@ class IoEngine:
         return sum(1 for qi, t in enumerate(self.last_work_us)
                    if self._busy[qi] or t >= floor)
 
-    def _accept(self, req):
-        """Checks and stamps `req`; returns its queue."""
+    def _check(self, lsn):
         if not self.running:
             raise EngineStateError("engine is not serving")
-        if not (0 <= req.lsn < self.num_sectors):
-            raise AddressError(f"sector {req.lsn} outside exported capacity")
+        if not (0 <= lsn < self.num_sectors):
+            raise AddressError(f"sector {lsn} outside exported capacity")
+
+    def submit(self, req):
+        self._check(req.lsn)
         req._sched = self.sched
         req.submit_us = self.sched.now
-        return self._dispatch(req)
-
-    def _enqueue(self, req, qi):
+        qi = self._dispatch(req.lsn)
         self.queues[qi].append(req)
         wake = self._wake[qi]
         if wake is not None:
             self._wake[qi] = None
             wake.fire()
-
-    def submit(self, req):
-        self._enqueue(req, self._accept(req))
         return req
 
-    def submit_inline(self, req):
-        """Submit `req` for a caller that waits on it before doing anything
-        else. Returns True when `req` was served in the caller's own step
-        and is complete, False when it was queued as by `submit`: the caller
-        then yields `req`. A buffer hit is served only when its worker is
-        parked and the scheduler would resume that worker in place after its
-        CPU charge (see the module docstring). Every check is made before
-        anything is booked."""
-        qi = self._accept(req)
+    def write_run(self, lsn, data):
+        """Serve one-sector writes of `data` (whole sectors, back to back)
+        to the sectors of one page from `lsn` on, in the caller's own step,
+        for a caller that would submit each and wait on it before the next.
+        Returns how many were served, from the first; the caller submits
+        the next one. A sector is served only where the queued handoff
+        would run with no other actor in between (see the module
+        docstring); a payload that is not whole sectors serves none."""
+        self._check(lsn)
+        n, rest = divmod(len(data), self.sector_size)
+        lpn, off = divmod(lsn, self.spp)
+        if off + n > self.spp:
+            raise AddressError(f"sectors {lsn}..{lsn + n - 1} cross a page end")
+        qi = self._dispatch(lsn)
+        # the worker is parked, no actor is ready and the LPN is buffered;
+        # none of this changes between sectors, only the clock does
+        if rest or self._wake[qi] is None:
+            return 0
         sched = self.sched
+        until = sched.in_place_until()
+        slot_idx = None if until is None else self.state.buf_find(lpn)
+        if slot_idx is None:
+            return 0
         now = sched.now
         cpu_us = self.params.cpu_us
         cores = self.cores
-        # the worker is parked (its queue is empty), nothing is due by the
-        # earliest end of its charge, and the request is a hit
-        slot = None
-        if self._wake[qi] is not None and sched.resumes_in_place(now + cpu_us):
-            slot = self._hit_slot(req)
-        if slot is not None and cores is not None:
-            # busy cores put the end later: nothing may be due by then either
-            free_at = min(cores.free_at)          # as CorePool.charge books
-            delay = (free_at if free_at > now else now) + cpu_us - now
-            if delay != cpu_us and not sched.resumes_in_place(now + delay):
-                slot = None
-        if slot is None:
-            self._enqueue(req, qi)
-            return False
-        sched.now = now + (cores.charge(cpu_us) if cores else cpu_us)
-        self.last_work_us[qi] = sched.now
-        off = req.lsn % self.spp
-        if req.kind == "write":
-            self._write_hit(slot, off, req.data)
-            req.result = True
-        else:
-            self.counters["user_sectors_read"] += 1
-            req.result = self._read_hit(slot, off)
-        req.fire()
-        return True
+        served = 0
+        while served < n:
+            # the end of the charge CorePool.charge books next: nothing may
+            # be due by then
+            start = min(cores.free_at) if cores else now
+            end = (start if start > now else now) + cpu_us
+            if end >= until:
+                break
+            if cores:
+                cores.charge(cpu_us)
+            now = sched.now = end
+            served += 1
+        if served:
+            self.last_work_us[qi] = now
+            self._write_hit(self.slots[slot_idx], off,
+                            data[:served * self.sector_size])
+        return served
 
     # ---- workers ------------------------------------------------------------
 
@@ -253,47 +261,20 @@ class IoEngine:
             self._busy[qi] = False
             req.fire()
 
-    # ---- buffer hits -----------------------------------------------------------
-
-    def _hit_slot(self, req):
-        """The slot that serves `req` from the buffer alone, or None: a
-        one-sector write to a buffered LPN, or a read of a sector that is
-        dirty in its buffer."""
-        lpn, off = divmod(req.lsn, self.spp)
-        if req.kind == "read":
-            return self._dirty_slot(lpn, off)
-        if req.kind != "write" or len(req.data) != self.sector_size:
-            return None
-        slot_idx = self.state.buf_find(lpn)
-        return None if slot_idx is None else self.slots[slot_idx]
-
-    def _dirty_slot(self, lpn, off):
-        """The slot holding sector `off` of `lpn` dirty, or None."""
-        slot_idx = self.state.buf_find(lpn)
-        if slot_idx is not None:
-            slot = self.slots[slot_idx]
-            if slot.dirty & (1 << off):
-                return slot
-        return None
+    # ---- write path -----------------------------------------------------------
 
     def _write_hit(self, slot, off, data):
         self._write_into_slot(slot, off, data)
-        self.counters["cache_hits"] += 1
-        self.counters["user_sectors_written"] += 1
-
-    def _read_hit(self, slot, off):
-        base = off * self.sector_size
-        slot.last_access = self.sched.now
-        self.counters["read_hits"] += 1
-        return bytes(slot.data[base:base + self.sector_size])
-
-    # ---- write path -----------------------------------------------------------
+        n = len(data) // self.sector_size
+        self.counters["cache_hits"] += n
+        self.counters["user_sectors_written"] += n
 
     def _write_into_slot(self, slot, off, data):
+        """Writes whole sectors `data` from sector `off` of `slot` on."""
         base = off * self.sector_size
-        slot.data[base:base + self.sector_size] = data
+        slot.data[base:base + len(data)] = data
         was_full = slot.dirty == self.full_mask
-        slot.dirty |= 1 << off
+        slot.dirty |= ((1 << len(data) // self.sector_size) - 1) << off
         slot.last_access = self.sched.now
         if slot.dirty == self.full_mask and not was_full:
             self.full_q.append(slot.index)
@@ -497,9 +478,14 @@ class IoEngine:
     def _read_sector(self, lsn):
         lpn, off = divmod(lsn, self.spp)
         self.counters["user_sectors_read"] += 1
-        slot = self._dirty_slot(lpn, off)
-        if slot is not None:
-            return self._read_hit(slot, off)
+        slot_idx = self.state.buf_find(lpn)
+        if slot_idx is not None:
+            slot = self.slots[slot_idx]
+            if slot.dirty & (1 << off):
+                base = off * self.sector_size
+                slot.last_access = self.sched.now
+                self.counters["read_hits"] += 1
+                return bytes(slot.data[base:base + self.sector_size])
         self.counters["read_misses"] += 1
         data = yield from self._read_mapped_page(
             lpn, off * self.sector_size, self.sector_size)

@@ -17,19 +17,22 @@ is strictly later), it would be the next to run anyway, so it is resumed in
 place, with no heap push or pop. Either way the order is that of one heap
 ordered by time and submission.
 
-`resumes_in_place(at)` asks that same question from inside a step, for an
-actor about to yield until `at`. A step that knows the answer is yes may do
-the work of that yield and of the resumed actor's next step itself and move
-`now` to `at`; `_run` picks up a clock moved inside a step. The IO engine
-serves a buffer hit this way in the submitting client's step
-(`IoEngine.submit_inline`), which leaves virtual time and every heap
-sequence number as they would be. So `events_processed` counts the
-resumptions that ran, not the ones such a step stood in for, and that work
-uses no pump budget.
+`in_place_until()` asks that same question from inside a step: the running
+actor, if it yielded now, would be resumed in place at any resume time
+strictly before the time it returns. `resumes_in_place(at)` asks it for one
+resume time. A step that knows the answer is yes may do the work of that
+yield and of the resumed actor's next step itself and move `now` to `at`;
+`_run` picks up a clock moved inside a step. The IO engine serves a run of
+buffered sector writes this way in the submitting client's step
+(`IoEngine.write_run`), which leaves virtual time and every heap sequence
+number as they would be. So `events_processed` counts the resumptions that
+ran, not the ones such a step stood in for, and that work uses no pump
+budget.
 """
 
 import heapq
 import itertools
+import math
 import random
 from collections import deque
 
@@ -122,16 +125,24 @@ class Scheduler:
         actor.error = error
         actor.done_event.fire(result)
 
+    def in_place_until(self):
+        """The time before which `_run` would resume the running actor in
+        place if it yielded now: the head of the heap, or `math.inf` with an
+        empty heap. None when it would resume it in place at no time: an
+        actor is ready, the event being run towards has fired, or no `_run`
+        is running. The pump budget is not consulted."""
+        target = self._target
+        if target is None or target.fired or self._ready:
+            return None
+        heap = self._heap
+        return heap[0][0] if heap else math.inf
+
     def resumes_in_place(self, at):
         """Whether `_run` would resume the running actor in place if it
         yielded now to resume at `at`: nothing is due by `at` and the event
-        being run towards has not fired. The pump budget is not consulted.
-        False outside `_run`."""
-        target = self._target
-        if target is None or target.fired or self._ready:
-            return False
-        heap = self._heap
-        return not heap or heap[0][0] > at
+        being run towards has not fired. False outside `_run`."""
+        until = self.in_place_until()
+        return until is not None and at < until
 
     def _run(self, event, max_events):
         """The one step loop: resume actors until `event` fires."""

@@ -140,12 +140,20 @@ class LatencyModel:
     erase_transfer_us: int = 2
 
     def validate(self):
-        if min(self.write_page_us, self.read_unit_us, self.erase_block_us) <= 0:
-            raise ConfigurationError("latencies must be positive")
-        if (self.write_transfer_us >= self.write_page_us
-                or self.read_transfer_us >= self.read_unit_us
-                or self.erase_transfer_us >= self.erase_block_us):
-            raise ConfigurationError("transfer slice must be below total latency")
+        # device clocks and image counters are whole microseconds, and a
+        # negative transfer would move the bus clock back
+        for total, transfer in (("write_page_us", "write_transfer_us"),
+                                ("read_unit_us", "read_transfer_us"),
+                                ("erase_block_us", "erase_transfer_us")):
+            for name in (total, transfer):
+                if not isinstance(getattr(self, name), int):
+                    raise ConfigurationError(
+                        f"{name} must be a whole number of microseconds")
+            if getattr(self, total) <= 0:
+                raise ConfigurationError(f"{total} must be positive")
+            if not 0 <= getattr(self, transfer) < getattr(self, total):
+                raise ConfigurationError(
+                    f"{transfer} must be at least 0 and below {total}")
         return self
 
 
@@ -584,16 +592,31 @@ def profile_dict(geometry, model, bad_blocks=()):
     return d
 
 
+def _profile_int(d, key, default=None):
+    value = d.get(key, default)
+    if value is None:
+        raise ConfigurationError(f"profile key {key!r} is missing")
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigurationError(f"profile key {key!r}: {value!r} is not a "
+                                 f"valid int") from None
+
+
 def parse_profile(d):
-    geometry = FlashGeometry(**{k: int(d[k]) for k in _GEOMETRY_KEYS})
-    model = LatencyModel(**{k: int(d.get(k, getattr(LatencyModel, k)))
+    geometry = FlashGeometry(**{k: _profile_int(d, k) for k in _GEOMETRY_KEYS})
+    model = LatencyModel(**{k: _profile_int(d, k, getattr(LatencyModel, k))
                             for k in _MODEL_KEYS})
     bad = []
-    spec = str(d.get("bad_blocks", "")).strip()
-    if spec:
-        for tok in spec.split():
-            bank, block = tok.split(":")
+    for tok in str(d.get("bad_blocks", "")).split():
+        bank, sep, block = tok.partition(":")
+        try:
+            if not sep:
+                raise ValueError(tok)
             bad.append((int(bank), int(block)))
+        except ValueError:
+            raise ConfigurationError(
+                f"bad block {tok!r} is not bank:block") from None
     return geometry.validate(), model.validate(), bad
 
 
@@ -616,8 +639,14 @@ def _profile_text(d):
 
 
 def load_profile(path):
+    """The profile in the file at `path`; a malformed one raises
+    ConfigurationError naming `path`."""
     with open(path) as fh:
-        return parse_profile(parse_key_values(fh))
+        d = parse_key_values(fh)
+    try:
+        return parse_profile(d)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 def save_profile(path, geometry, model, bad_blocks=()):

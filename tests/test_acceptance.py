@@ -1,5 +1,7 @@
 """Acceptance gate: every criterion at its stated tolerance, one printed
-pass/fail line each. Run with `pytest tests/test_acceptance.py -v -s`."""
+pass/fail line each. Run with `pytest tests/test_acceptance.py -v -s`.
+Every test here carries the `acceptance` marker, so a quick loop over the
+rest of the suite is `pytest -m "not acceptance"`."""
 
 import random
 import time
@@ -14,6 +16,8 @@ from bankftl.io_engine import EngineParams
 
 from conftest import TINY, sector_payload, synth_block, tiny_engine
 from harness import run_integrity
+
+pytestmark = pytest.mark.acceptance
 
 SEEDS = (1, 2, 3, 4, 5)
 

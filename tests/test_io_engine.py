@@ -1,10 +1,12 @@
 import gc
 import random
+from dataclasses import replace
 
 import pytest
 
+from bankftl import bench
 from bankftl.engine import Engine, EngineConfig
-from bankftl.errors import ConfigurationError, EngineStateError
+from bankftl.errors import AddressError, ConfigurationError, EngineStateError
 from bankftl.ftl_state import UNMAPPED, BankInfo, FtlState
 from bankftl.gc_engine import GcPolicy
 from bankftl.io_engine import EngineParams, IoEngine, IoRequest
@@ -427,7 +429,7 @@ def test_dispatch_spread_matches_hash_oracle():
     seen = {}
     for lsn in sectors:
         req = IoRequest("write", lsn, b"\x00" * SECTOR)
-        qi = eng.io._dispatch(req)
+        qi = eng.io._dispatch(req.lsn)
         seen.setdefault(qi, []).append(lsn)
     assert seen == expected
     assert len(seen) == 4            # all queues engaged
@@ -561,27 +563,26 @@ def test_clean_shutdown_joins_workers_parked_on_rearmed_wakes():
     assert eng.io._wake == [None] * 4
 
 
-# ---- buffer hits served in the waiting caller's step --------------------------
+# ---- runs of buffered writes served in the waiting caller's step -------------
 #
-# `submit_inline` must leave every observable exactly as the queued path
-# would: each scenario runs twice, once as is and once with `submit_inline`
-# replaced by a plain `submit`, and the two snapshots must be equal.
+# `write_run` must leave every observable exactly as the queued path would:
+# each scenario runs twice, once as is and once with `write_run` serving
+# nothing, so that every sector is submitted and waited on, and the two
+# snapshots must be equal.
 
 def _queued_only(monkeypatch):
-    def submit_inline(self, req):
-        self.submit(req)
-        return False
-    monkeypatch.setattr(IoEngine, "submit_inline", submit_inline)
+    monkeypatch.setattr(IoEngine, "write_run", lambda self, lsn, data: 0)
 
 
-def _counting_inline(monkeypatch, served):
-    inline = IoEngine.submit_inline
+def _counting_runs(monkeypatch, runs):
+    """Records `(sectors asked, sectors served)` of every `write_run`."""
+    write_run = IoEngine.write_run
 
-    def submit_inline(self, req):
-        took = inline(self, req)
-        served.append(took)
-        return took
-    monkeypatch.setattr(IoEngine, "submit_inline", submit_inline)
+    def counted(self, lsn, data):
+        served = write_run(self, lsn, data)
+        runs.append((len(data) // self.sector_size, served))
+        return served
+    monkeypatch.setattr(IoEngine, "write_run", counted)
 
 
 def _snapshot(eng, records):
@@ -606,34 +607,53 @@ def _snapshot(eng, records):
     }
 
 
+def _write_and_wait(eng, lsn, payloads):
+    """Writes `payloads`, one sector each, from `lsn` on as a client that
+    waits on each sector before the next, as `bench` does: `write_run`
+    serves what it can, the sector it stops at is submitted and waited on,
+    and the run goes on after it. Returns the failed sectors' errors."""
+    errors = []
+    i = 0
+    while i < len(payloads):
+        i += eng.io.write_run(lsn + i, b"".join(payloads[i:]))
+        if i < len(payloads):
+            req = eng.io.submit(IoRequest("write", lsn + i, payloads[i]))
+            yield req
+            if req.error is not None:
+                errors.append((req.lsn, repr(req.error)))
+            i += 1
+    return errors
+
+
 def _mixed_client(eng, rng, tid, ops, sync_sectors, region, hot, records):
-    """Reads and writes; waits at once on a request that completes a sync
-    unit alone (`submit_inline`), otherwise on the batch."""
+    """Reads and writes. A client that syncs every sector writes runs of
+    random length within a page (`_write_and_wait`) and waits on each read;
+    any other waits on each batch of `sync_sectors` requests."""
     sched = eng.sched
     pending = []
     for i in range(ops):
         pool = hot if rng.random() < 0.75 else region
         lsn = rng.choice(pool) * SPP + rng.randrange(SPP)
+        entry = [tid, i, lsn, sched.now]
         if rng.random() < 0.35:
             req = IoRequest("read", lsn)
+        elif sync_sectors == 1:
+            payloads = [sector_payload((tid, i, k), SECTOR)
+                        for k in range(rng.randint(1, SPP - lsn % SPP))]
+            errors = yield from _write_and_wait(eng, lsn, payloads)
+            records.append(entry + [len(payloads), sched.now, errors])
+            req = None
         else:
             req = IoRequest("write", lsn, sector_payload((tid, i), SECTOR))
-        entry = [tid, i, req.kind, lsn, sched.now]
-        if not pending and sync_sectors == 1:
-            if not eng.io.submit_inline(req):
-                yield req
-            pending_done = [(req, entry)]
-        else:
-            eng.io.submit(req)
-            pending.append((req, entry))
+        if req is not None:
+            pending.append((eng.io.submit(req), entry))
             if len(pending) < sync_sectors:
                 continue
-            pending_done, pending = pending, []
-        for done, row in pending_done:
-            if not done.fired:
-                yield done
-            row += [sched.now, done.result, repr(done.error)]
-            records.append(row)
+            for done, row in pending:
+                if not done.fired:
+                    yield done
+                records.append(row + [sched.now, done.result, repr(done.error)])
+            pending = []
         if rng.random() < 0.3:
             yield rng.choice((0, 0, 1, 4, 10, 11, 37))
 
@@ -662,37 +682,39 @@ def _mixed_run(policy_kind, seed):
 
 @pytest.mark.parametrize("policy_kind", ["NPGC", "PLLGC", "PLLGC_ADAPTIVE"])
 def test_served_hits_match_the_queued_path(monkeypatch, policy_kind):
-    collected = 0
+    collected = cut = 0
     for seed in range(3):
-        served = []
+        runs = []
         with monkeypatch.context() as m:
-            _counting_inline(m, served)
+            _counting_runs(m, runs)
             got = _mixed_run(policy_kind, seed)
         with monkeypatch.context() as m:
             _queued_only(m)
             want = _mixed_run(policy_kind, seed)
         assert got == want, f"{policy_kind} seed {seed}"
-        assert served.count(True) >= 30, "the path was hardly taken"
-        assert served.count(False) >= 30
+        assert sum(1 for _, k in runs if k) >= 30, "the path was hardly taken"
+        assert sum(1 for n, k in runs if k < n) >= 30
+        cut += sum(1 for n, k in runs if 0 < k < n)
         collected += got["gc"]["blocks_collected"]
         assert got["io"]["evictions"] and got["io"]["merges"]
         assert got["io"]["read_hits"] and got["io"]["cache_hits"]
     assert collected > 0
+    assert cut >= 10, "hardly a run stopped after serving some sectors"
 
 
-# Directed cases: a parked worker and a buffered sector, so that only the
-# one condition named by each case keeps the request off the served path.
+# Directed cases: a parked worker and a buffered LPN, so that only the one
+# condition named by each case keeps sectors of the run off the served path.
 
-def _directed_run(sleep_until=None, setup=None, payload=None):
+def _directed_run(sleep_until=None, setup=None, payload=None, sectors=1):
     """Buffers LPN 0, then a client sleeps 50 us, runs `setup(eng, ctx)`
-    and submits a write hit to sector 1 with `submit_inline`. With
-    `sleep_until`, another actor is due that many us after the charge's
-    start (when the client submits). Returns (served, snapshot)."""
+    and writes `sectors` sectors from sector 1 on (`_write_and_wait`).
+    With `sleep_until`, another actor is due that many us after the first
+    charge's start (when the client starts the run). Returns the snapshot."""
     eng = tiny_engine(policy=GcPolicy(kind="NPGC"), queues=2, buffers=4)
     eng.device.enable_request_log()
     wsec(eng, 0)
     cpu_us = eng.io.params.cpu_us
-    assert eng.sched._heap[0][0] > eng.sched.now + 50 + 2 * cpu_us
+    assert eng.sched._heap[0][0] > eng.sched.now + 50 + SPP * cpu_us + 5
     ctx = {"pumped": eng.sched.event(), "finished": eng.sched.event()}
     records = []
 
@@ -703,12 +725,11 @@ def _directed_run(sleep_until=None, setup=None, payload=None):
         yield 50
         if setup is not None:
             setup(eng, ctx)
-        req = IoRequest("write", 1, payload or sector_payload("hit", SECTOR))
+        payloads = [payload or sector_payload(("hit", k), SECTOR)
+                    for k in range(sectors)]
         start = eng.sched.now
-        ctx["served"] = eng.io.submit_inline(req)
-        if not ctx["served"]:
-            yield req
-        records.append((eng.sched.now - start, req.result, repr(req.error)))
+        errors = yield from _write_and_wait(eng, 1, payloads)
+        records.append((eng.sched.now - start, errors))
         ctx["pumped"].fire()
         ctx["finished"].fire()
 
@@ -719,7 +740,7 @@ def _directed_run(sleep_until=None, setup=None, payload=None):
     eng.pump(ctx["finished"])
     snap = _snapshot(eng, records)
     eng.shutdown(clean=True)
-    return ctx["served"], snap
+    return snap
 
 
 def _fire_pumped(eng, ctx):
@@ -740,54 +761,110 @@ def _busy_cores(eng, ctx):
 CPU = EngineParams().cpu_us
 
 DIRECTED = {
-    # (sleep_until, setup, payload) -> served?
-    "heap-due-at-charge-end": ((CPU, None, None), False),
-    "heap-due-after-charge-end": ((CPU + 1, None, None), True),
-    "pumped-event-fired": ((None, _fire_pumped, None), False),
-    "actor-in-fifo": ((None, _spawn_other, None), False),
-    "busy-cores-heap-due-in-wait": ((CPU + 3, _busy_cores, None), False),
-    "busy-cores-heap-due-at-end": ((CPU + 5, _busy_cores, None), False),
-    "busy-cores-nothing-due": ((CPU + 6, _busy_cores, None), True),
-    "wrong-size-payload": ((None, None, b"abc"), False),
+    # (sleep_until, setup, payload, sectors) -> sectors the first run serves
+    "heap-due-at-charge-end": ((CPU, None, None, 1), 0),
+    "heap-due-after-charge-end": ((CPU + 1, None, None, 1), 1),
+    "pumped-event-fired": ((None, _fire_pumped, None, 1), 0),
+    "actor-in-fifo": ((None, _spawn_other, None, 1), 0),
+    "busy-cores-heap-due-in-wait": ((CPU + 3, _busy_cores, None, 1), 0),
+    "busy-cores-heap-due-at-end": ((CPU + 5, _busy_cores, None, 1), 0),
+    "busy-cores-nothing-due": ((CPU + 6, _busy_cores, None, 1), 1),
+    "wrong-size-payload": ((None, None, b"abc", 1), 0),
+    # a run: sector k ends k * CPU after its start, later with busy cores
+    "run-heap-due-between-sectors": ((2 * CPU + 1, None, None, 5), 2),
+    "run-heap-due-at-a-sector-end": ((3 * CPU, None, None, 5), 2),
+    "run-busy-cores-cut-it-short": ((3 * CPU + 1, _busy_cores, None, 5), 2),
+    "run-to-the-page-end": ((None, None, None, SPP - 1), SPP - 1),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DIRECTED))
 def test_directed_submit_inline_cases(monkeypatch, case):
     args, want_served = DIRECTED[case]
-    served, got = _directed_run(*args)
+    runs = []
+    with monkeypatch.context() as m:
+        _counting_runs(m, runs)
+        got = _directed_run(*args)
     with monkeypatch.context() as m:
         _queued_only(m)
-        _, want = _directed_run(*args)
-    assert served is want_served
+        want = _directed_run(*args)
+    assert runs[0][1] == want_served
     assert got == want
-    took, result, error = got["records"][0]
+    took, errors = got["records"][0]
     if case == "wrong-size-payload":
-        assert result is None and "AddressError" in error
+        assert len(errors) == 1 and "AddressError" in errors[0][1]
     else:
-        assert result is True and error == "None"
-        assert took == CPU + (5 if "busy" in case else 0)
+        assert errors == []
+        assert took == args[3] * CPU + (5 if "busy" in case else 0)
 
 
-def test_submit_inline_queues_misses_and_busy_workers():
+def test_write_run_serves_nothing_on_a_miss_or_a_busy_worker():
     eng = tiny_engine(queues=1, buffers=4)
     io = eng.io
+    data = sector_payload("run", SECTOR)
 
     def client():
-        miss = IoRequest("write", 5 * SPP, sector_payload("miss", SECTOR))
-        assert not io.submit_inline(miss)    # no buffer for LPN 5 yet
+        assert io.write_run(5 * SPP, data) == 0          # no buffer for LPN 5
+        miss = io.submit(IoRequest("write", 5 * SPP, data))
         yield miss
-        hit = IoRequest("read", 5 * SPP)
-        assert io.submit_inline(hit) and hit.result == sector_payload("miss", SECTOR)
-        absent = IoRequest("read", 5 * SPP + 1)
-        assert not io.submit_inline(absent)  # not dirty in the buffer
+        assert io.write_run(5 * SPP + 1, data * 2) == 2
         first = io.submit(IoRequest("read", 5 * SPP))
-        busy = IoRequest("read", 5 * SPP)
-        assert not io.submit_inline(busy)    # the worker has a queue
-        yield busy
-        assert first.fired and busy.result == hit.result
-        yield absent
-        assert absent.result == b"\x00" * SECTOR
+        assert io.write_run(5 * SPP + 3, data) == 0      # the worker has a queue
+        yield first
+        assert first.result == data
+        assert io.write_run(5 * SPP + 3, data) == 1
 
     eng.pump(eng.sched.spawn(client(), "client").done_event)
+    slot = eng.io.slots[eng.state.buf_find(5)]
+    assert slot.dirty == 0b1111
+    assert eng.io.counters["cache_hits"] == 3
     eng.shutdown(clean=True)
+
+
+def test_write_run_rejects_a_page_crossing_and_a_stopped_engine():
+    eng = tiny_engine()
+    eng.device.enable_request_log()
+    data = sector_payload("run", SECTOR)
+    wsec(eng, 0)
+    before = _snapshot(eng, [])
+    with pytest.raises(AddressError, match="cross a page end"):
+        eng.io.write_run(SPP - 2, data * 3)
+    with pytest.raises(AddressError, match="outside exported capacity"):
+        eng.io.write_run(eng.io.num_sectors, data)
+    assert _snapshot(eng, []) == before
+    eng.shutdown(clean=True)
+    with pytest.raises(EngineStateError):
+        eng.io.write_run(1, data)
+
+
+@pytest.mark.parametrize("kind", ["NPGC", "PLLGC"])
+def test_drive_with_runs_matches_the_queued_path(monkeypatch, kind):
+    """A single writer overwriting 8x the buffer pool on an aged card, as
+    the npgc-vs-pllgc preset does, scaled down. A page's first sector
+    misses, so at most 7 of 8 sectors are served; PLLGC's collector polls
+    cut some runs short (83% served on the full preset at seed 1)."""
+    def drive():
+        bundle = bench.preset("npgc-vs-pllgc", seed=1)
+        eng = Engine.start(EngineConfig(
+            profile=bundle.profile, io=EngineParams(num_queues=16, num_buffers=32),
+            policy=GcPolicy(kind=kind, max_gc_threads=1), seed=1))
+        eng.device.enable_request_log()
+        bench.inject_aging(eng, bundle.aging)
+        report = bench.drive(eng, replace(bundle.workload, region_lpns=256,
+                                          rounds=4))
+        snap = _snapshot(eng, [])
+        eng.shutdown(clean=True)
+        return report, snap
+
+    runs = []
+    with monkeypatch.context() as m:
+        _counting_runs(m, runs)
+        got = drive()
+    with monkeypatch.context() as m:
+        _queued_only(m)
+        want = drive()
+    assert got == want
+    report = got[0]
+    assert report.errors == 0 and report.blocks_collected > 0
+    written = report.counters["io"]["user_sectors_written"]
+    assert sum(k for _, k in runs) >= 0.8 * written

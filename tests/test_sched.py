@@ -382,7 +382,8 @@ def test_in_place_predicate_matches_run_at_every_yield():
 
 def moving_actor(sched, events, trace, name, ops):
     """`program_actor` that, where `_run` would resume it in place after a
-    sleep, moves the clock itself and goes on in the same step."""
+    sleep (its resume time is before `in_place_until()`), moves the clock
+    itself and goes on in the same step."""
     trace.append((sched.now, name))
     children = 0
     for op, arg in ops:
@@ -395,7 +396,8 @@ def moving_actor(sched, events, trace, name, ops):
             sched.spawn(moving_actor(sched, events, trace, child, arg), child)
             continue
         at = _resume_at(sched, op, arg, events)
-        if op == "sleep" and sched.resumes_in_place(at):
+        until = sched.in_place_until()
+        if op == "sleep" and until is not None and at < until:
             sched.moved += 1
             sched.now = at
         else:

@@ -3,6 +3,7 @@ import pickle
 import random
 import re
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -264,6 +265,42 @@ def test_profile_parse_defaults_and_validation():
     d["page_size"] = "1000"
     with pytest.raises(ConfigurationError):
         parse_profile(d)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("write_page_us", 1300.5), ("write_transfer_us", 100.25),
+    ("read_unit_us", 0), ("erase_block_us", -1),
+    ("write_transfer_us", -5), ("read_transfer_us", 100),
+    ("erase_transfer_us", 2000)])
+def test_latency_model_rejects_fractional_negative_and_oversized(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        replace(LatencyModel(), **{field: value}).validate()
+
+
+def test_latency_model_accepts_a_zero_transfer():
+    model = LatencyModel(write_transfer_us=0, read_transfer_us=0,
+                         erase_transfer_us=0)
+    assert model.validate() is model
+
+
+@pytest.mark.parametrize("key, value, names", [
+    ("write_page_us", "200.5", "write_page_us"),
+    ("page_size", "abc", "page_size"),
+    ("num_interfaces", None, "num_interfaces"),
+    ("bad_blocks", "0:x", "0:x"),
+    ("bad_blocks", "3", "'3'")])
+def test_malformed_profile_file_raises_configuration_error(
+        tmp_path, key, value, names):
+    d = profile_dict(TINY, LatencyModel(), [(0, 2)])
+    if value is None:
+        del d[key]
+    else:
+        d[key] = value
+    path = tmp_path / "dev.profile"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in d.items()))
+    with pytest.raises(ConfigurationError) as err:
+        load_profile(path)
+    assert names in str(err.value) and str(path) in str(err.value)
 
 
 def test_image_roundtrip(tmp_path):
