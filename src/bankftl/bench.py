@@ -1,11 +1,11 @@
 """Benchmark harness: workload generation, artificial aging, desk-scale
 presets for the policy and scaling experiments, latency tracing, reports.
 
-Client threads are actors that stream sector writes through the engine,
-waiting for acknowledgements at the configured sync granularity and sleeping
-per the think-time rules. One latency sample covers one flash-page-sized
-logical write, measured from the first sector's submission to the last
-sector's acknowledgement.
+Client threads are actors that stream one-sector writes through the engine,
+each acknowledged before the next (`IoEngine.write_run`), and sleep per the
+think-time rules. One latency sample covers one flash-page-sized logical
+write, measured from the first sector's submission to the last sector's
+acknowledgement.
 
 Aging injection synthesizes a long-used device by mutating the tables and
 flash directly: it plans per-bank free-block counts and per-block
@@ -27,7 +27,7 @@ from .engine import Engine, EngineConfig
 from .errors import ConfigurationError, EngineStateError
 from .ftl_state import UNMAPPED
 from .gc_engine import GcPolicy
-from .io_engine import EngineParams, IoRequest
+from .io_engine import EngineParams
 from .oob import TYPE_DATA, encode_spare
 from .sim_flash import PageAddress
 
@@ -41,17 +41,11 @@ class WorkloadSpec:
     region_lpns: int = 1024        # total working set, partitioned per client
     rounds: int = 1                # passes over the region (overwrite x N)
     pattern: str = "sequential"    # sequential | random
-    io_size: int = 0               # bytes per submission; 0 = one sector
-    sync_every: int = 0            # bytes between waits; 0 = every submission
     think_small_us: int = 0        # sleep after each page written
     think_large_us: int = 0        # sleep after each chunk written
     chunk_pages: int = 8
     start_jitter_us: int = 0
     seed: int = 0
-
-    def bytes_per_thread(self, page_size):
-        per = self.region_lpns // max(1, self.num_client_threads)
-        return per * self.rounds * page_size
 
 
 @dataclass
@@ -120,55 +114,28 @@ def _client_pages(spec, tid):
                 yield base + i
 
 
-def _acknowledged(reqs, tid, errors):
-    """Waits on every request of `reqs`, records the failed ones and
-    empties `reqs`."""
-    for req in reqs:
-        if not req.fired:
-            yield req
-        if req.error is not None:
-            errors.append((tid, req.lsn, repr(req.error)))
-    reqs.clear()
-
-
 def _client_actor(eng, spec, tid, pattern, samples, thread_sums, errors):
     """One client; `pattern` is a page of the bytes every client writes."""
     g = eng.device.geometry
     spp = g.sectors_per_page
     sector = g.read_unit
-    io_size = spec.io_size or sector
-    if io_size % sector or g.page_size % io_size:
-        raise ConfigurationError("io_size must divide the page and be sectors")
-    sync_every = spec.sync_every or io_size
-    payload = pattern[:sector]
     rng = random.Random((spec.seed << 20) ^ tid)
     if spec.start_jitter_us:
         yield rng.randrange(spec.start_jitter_us)
     pages_done = 0
-    unsynced = 0
-    pending = []
     for page_index in _client_pages(spec, tid):
         t0 = eng.sched.now
         lsn, end = page_index * spp, (page_index + 1) * spp
-        if sync_every <= sector:
-            # each sector is its own sync unit: the buffered run from `lsn`
-            # is served in this step, and the sector it stops at is queued
-            while lsn < end:
-                lsn += eng.io.write_run(lsn, pattern[lsn % spp * sector:])
-                if lsn < end:
-                    req = eng.io.submit(IoRequest("write", lsn, payload))
-                    yield req
-                    if req.error is not None:
-                        errors.append((tid, lsn, repr(req.error)))
-                    lsn += 1
-        else:
-            for lsn in range(lsn, end):
-                pending.append(eng.io.submit(IoRequest("write", lsn, payload)))
-                unsynced += sector
-                if unsynced >= sync_every:
-                    yield from _acknowledged(pending, tid, errors)
-                    unsynced = 0
-            yield from _acknowledged(pending, tid, errors)
+        # the buffered run from `lsn` is served in this step; the sector it
+        # stops at comes back queued
+        while lsn < end:
+            req = eng.io.write_run(lsn, pattern[lsn % spp * sector:])
+            if req is None:
+                break
+            yield req
+            if req.error is not None:
+                errors.append((tid, req.lsn, repr(req.error)))
+            lsn = req.lsn + 1
         latency = eng.sched.now - t0
         samples.append([len(samples), g.page_size, latency, tid])
         thread_sums[tid][0] += latency

@@ -45,6 +45,11 @@ class EngineConfig:
             raise ConfigurationError("num_queues out of range")
         if io.num_buffers < 1:
             raise ConfigurationError("need at least one buffer")
+        # a negative reserve lets user writes take a bank's last blocks, and
+        # then GC has nowhere to copy to
+        if not isinstance(io.gc_reserve_blocks, int) or io.gc_reserve_blocks < 0:
+            raise ConfigurationError(
+                "gc_reserve_blocks must be a whole number, not negative")
         # a wait must move the virtual clock forward (a zero poll period
         # spins an actor at one instant forever, and the scheduler truncates
         # a fractional one to zero), a cost must not move it back

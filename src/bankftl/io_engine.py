@@ -29,8 +29,9 @@ Within one LPN and one step only that end moves from sector to sector, so
 the run books each sector's core through `CorePool.charge`, moves the clock
 to its end, and stops at the first sector that would be queued; the slot's
 bytes, dirty bits and stamp then change once. Virtual time, counters and
-heap order are those of the handoffs. The caller submits the sector the run
-stopped at with `submit`.
+heap order are those of the handoffs. The run then queues the sector it
+stopped at, as `submit` would, and returns that request for the caller to
+wait on.
 
 Device backpressure is inherent in the device's one, synchronous request
 path (queue occupancy is charged as wait time), so no retry/backoff loop is
@@ -172,9 +173,11 @@ class IoEngine:
 
     def submit(self, req):
         self._check(req.lsn)
+        return self._enqueue(req, self._dispatch(req.lsn))
+
+    def _enqueue(self, req, qi):
         req._sched = self.sched
         req.submit_us = self.sched.now
-        qi = self._dispatch(req.lsn)
         self.queues[qi].append(req)
         wake = self._wake[qi]
         if wake is not None:
@@ -183,33 +186,33 @@ class IoEngine:
         return req
 
     def write_run(self, lsn, data):
-        """Serve one-sector writes of `data` (whole sectors, back to back)
-        to the sectors of one page from `lsn` on, in the caller's own step,
-        for a caller that would submit each and wait on it before the next.
-        Returns how many were served, from the first; the caller submits
-        the next one. A sector is served only where the queued handoff
-        would run with no other actor in between (see the module
-        docstring); a payload that is not whole sectors serves none."""
+        """Write `data` (whole sectors, back to back) to the sectors of one
+        page from `lsn` on, for a caller that would submit each as a
+        one-sector write and wait on it before the next. The run is served
+        in the caller's own step up to the first sector whose queued
+        handoff would not run with no other actor in between (see the
+        module docstring); that sector is queued and its request returned.
+        Returns None when the whole run was served. A payload that is not
+        whole sectors serves none and is queued whole."""
         self._check(lsn)
-        n, rest = divmod(len(data), self.sector_size)
+        size = self.sector_size
+        n, rest = divmod(len(data), size)
         lpn, off = divmod(lsn, self.spp)
         if off + n > self.spp:
             raise AddressError(f"sectors {lsn}..{lsn + n - 1} cross a page end")
         qi = self._dispatch(lsn)
+        if rest:
+            return self._enqueue(IoRequest("write", lsn, data), qi)
         # the worker is parked, no actor is ready and the LPN is buffered;
         # none of this changes between sectors, only the clock does
-        if rest or self._wake[qi] is None:
-            return 0
         sched = self.sched
-        until = sched.in_place_until()
+        until = None if self._wake[qi] is None else sched.in_place_until()
         slot_idx = None if until is None else self.state.buf_find(lpn)
-        if slot_idx is None:
-            return 0
         now = sched.now
         cpu_us = self.params.cpu_us
         cores = self.cores
         served = 0
-        while served < n:
+        while served < n and slot_idx is not None:
             # the end of the charge CorePool.charge books next: nothing may
             # be due by then
             start = min(cores.free_at) if cores else now
@@ -222,9 +225,12 @@ class IoEngine:
             served += 1
         if served:
             self.last_work_us[qi] = now
-            self._write_hit(self.slots[slot_idx], off,
-                            data[:served * self.sector_size])
-        return served
+            self._write_hit(self.slots[slot_idx], off, data[:served * size])
+        if served < n:
+            return self._enqueue(IoRequest(
+                "write", lsn + served, data[served * size:(served + 1) * size]),
+                qi)
+        return None
 
     # ---- workers ------------------------------------------------------------
 

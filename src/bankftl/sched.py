@@ -19,15 +19,14 @@ ordered by time and submission.
 
 `in_place_until()` asks that same question from inside a step: the running
 actor, if it yielded now, would be resumed in place at any resume time
-strictly before the time it returns. `resumes_in_place(at)` asks it for one
-resume time. A step that knows the answer is yes may do the work of that
-yield and of the resumed actor's next step itself and move `now` to `at`;
-`_run` picks up a clock moved inside a step. The IO engine serves a run of
-buffered sector writes this way in the submitting client's step
-(`IoEngine.write_run`), which leaves virtual time and every heap sequence
-number as they would be. So `events_processed` counts the resumptions that
-ran, not the ones such a step stood in for, and that work uses no pump
-budget.
+strictly before the time it returns. A step whose yield would resume in
+place at `at` may do the work of that yield and of the resumed actor's next
+step itself and move `now` to `at`; `_run` picks up a clock moved inside a
+step. The IO engine serves a run of buffered sector writes this way in the
+submitting client's step (`IoEngine.write_run`), which leaves virtual time
+and every heap sequence number as they would be. So `events_processed`
+counts the resumptions that ran, not the ones such a step stood in for, and
+that work uses no pump budget.
 """
 
 import heapq
@@ -136,13 +135,6 @@ class Scheduler:
             return None
         heap = self._heap
         return heap[0][0] if heap else math.inf
-
-    def resumes_in_place(self, at):
-        """Whether `_run` would resume the running actor in place if it
-        yielded now to resume at `at`: nothing is due by `at` and the event
-        being run towards has not fired. False outside `_run`."""
-        until = self.in_place_until()
-        return until is not None and at < until
 
     def _run(self, event, max_events):
         """The one step loop: resume actors until `event` fires."""

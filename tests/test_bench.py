@@ -10,7 +10,7 @@ from bankftl.engine import Engine, EngineConfig
 from bankftl.errors import ConfigurationError, EngineStateError
 from bankftl.ftl_state import UNMAPPED
 from bankftl.gc_engine import GcPolicy
-from bankftl.io_engine import EngineParams
+from bankftl.io_engine import EngineParams, IoEngine
 
 from conftest import TINY, tiny_engine
 
@@ -43,7 +43,8 @@ def test_run_deterministic_under_fixed_seed():
 def test_run_accounting_matches_spec_totals():
     spec = small_spec()
     report = run(spec, small_config())
-    expected = spec.bytes_per_thread(TINY.page_size) * spec.num_client_threads
+    per = spec.region_lpns // spec.num_client_threads
+    expected = per * spec.rounds * TINY.page_size * spec.num_client_threads
     assert report.user_bytes == expected
     assert len(report.samples) == expected // TINY.page_size
     assert report.errors == 0
@@ -192,9 +193,28 @@ def test_preset_bundles_wellformed():
         preset("nope")
 
 
-def test_sync_every_batches_acknowledgements():
-    # batching waits at page granularity still completes correctly
-    spec = small_spec(sync_every=TINY.page_size)
-    report = run(spec, small_config())
+def test_a_client_write_checks_its_address_once(monkeypatch):
+    """A client queues the sector a run stops at with the same call: the
+    address and engine state are checked once per `write_run`, whether the
+    run was served to its end or stopped."""
+    calls = {"write_run": 0, "_check": 0, "queued": 0}
+    write_run, check = IoEngine.write_run, IoEngine._check
+
+    def counted_run(self, lsn, data):
+        calls["write_run"] += 1
+        req = write_run(self, lsn, data)
+        calls["queued"] += req is not None
+        return req
+
+    def counted_check(self, lsn):
+        calls["_check"] += 1
+        return check(self, lsn)
+
+    monkeypatch.setattr(IoEngine, "write_run", counted_run)
+    monkeypatch.setattr(IoEngine, "_check", counted_check)
+    eng = Engine.start(small_config())
+    report = drive(eng, small_spec(num_client_threads=1))
+    eng.shutdown(clean=True)
     assert report.errors == 0
-    assert len(report.samples) == 64   # 16 lpns x 2 rounds x 2 clients
+    assert calls["_check"] == calls["write_run"]
+    assert 0 < calls["queued"] < calls["write_run"]

@@ -81,7 +81,9 @@ def test_run_with_engine_config_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, named", [("num_queues = eight", "num_queues"),
-                                         ("daemon_tick_us = 0", "daemon_tick_us")])
+                                         ("daemon_tick_us = 0", "daemon_tick_us"),
+                                         ("gc_reserve_blocks = -1",
+                                          "gc_reserve_blocks")])
 def test_bad_engine_config_file_is_reported_with_status_2(tmp_path, capsys,
                                                          line, named):
     conf = tmp_path / "engine.conf"

@@ -137,3 +137,18 @@ def test_no_module_uses_os_threads():
             for path in sorted(SRC.glob("*.py"))}
     assert "engine.py" in uses
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_only_the_io_engine_queues_a_client_write():
+    """The bench client hands each write to `IoEngine.write_run`, which
+    decides whether it is served in the client's step or queued: the
+    client builds no request and submits none itself."""
+    tree = ast.parse((SRC / "bench.py").read_text(), "bench.py")
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names if a.name == "IoRequest")
+        elif isinstance(node, ast.Attribute) and node.attr in ("IoRequest",
+                                                               "submit"):
+            found.add(node.attr)
+    assert found == set()

@@ -81,6 +81,10 @@ BAD_TIMING = {
     "idle_flush_seconds=-1": (EngineParams(idle_flush_seconds=-1.0), None),
     "idle_flush_seconds=inf": (EngineParams(idle_flush_seconds=math.inf), None),
     "idle_flush_seconds=nan": (EngineParams(idle_flush_seconds=math.nan), None),
+    # with a negative reserve user writes took every bank's last free block:
+    # NPGC writes then failed and a PLLGC write waited out its timeout
+    "gc_reserve_blocks=-1": (EngineParams(gc_reserve_blocks=-1), None),
+    "gc_reserve_blocks=0.5": (EngineParams(gc_reserve_blocks=0.5), None),
 }
 
 

@@ -567,21 +567,25 @@ def test_clean_shutdown_joins_workers_parked_on_rearmed_wakes():
 #
 # `write_run` must leave every observable exactly as the queued path would:
 # each scenario runs twice, once as is and once with `write_run` serving
-# nothing, so that every sector is submitted and waited on, and the two
-# snapshots must be equal.
+# nothing and submitting the run's first sector, so that every sector is
+# submitted and waited on, and the two snapshots must be equal.
 
 def _queued_only(monkeypatch):
-    monkeypatch.setattr(IoEngine, "write_run", lambda self, lsn, data: 0)
+    def queue_first(self, lsn, data):
+        return self.submit(IoRequest("write", lsn, data[:self.sector_size]))
+    monkeypatch.setattr(IoEngine, "write_run", queue_first)
 
 
 def _counting_runs(monkeypatch, runs):
-    """Records `(sectors asked, sectors served)` of every `write_run`."""
+    """Records `(sectors asked, sectors served, request returned)` of every
+    `write_run`."""
     write_run = IoEngine.write_run
 
     def counted(self, lsn, data):
-        served = write_run(self, lsn, data)
-        runs.append((len(data) // self.sector_size, served))
-        return served
+        req = write_run(self, lsn, data)
+        n = len(data) // self.sector_size
+        runs.append((n, n if req is None else req.lsn - lsn, req))
+        return req
     monkeypatch.setattr(IoEngine, "write_run", counted)
 
 
@@ -610,18 +614,18 @@ def _snapshot(eng, records):
 def _write_and_wait(eng, lsn, payloads):
     """Writes `payloads`, one sector each, from `lsn` on as a client that
     waits on each sector before the next, as `bench` does: `write_run`
-    serves what it can, the sector it stops at is submitted and waited on,
-    and the run goes on after it. Returns the failed sectors' errors."""
+    serves what it can and queues the sector it stops at, which is waited
+    on, and the run goes on after it. Returns the failed sectors' errors."""
     errors = []
     i = 0
     while i < len(payloads):
-        i += eng.io.write_run(lsn + i, b"".join(payloads[i:]))
-        if i < len(payloads):
-            req = eng.io.submit(IoRequest("write", lsn + i, payloads[i]))
-            yield req
-            if req.error is not None:
-                errors.append((req.lsn, repr(req.error)))
-            i += 1
+        req = eng.io.write_run(lsn + i, b"".join(payloads[i:]))
+        if req is None:
+            break
+        yield req
+        if req.error is not None:
+            errors.append((req.lsn, repr(req.error)))
+        i = req.lsn - lsn + 1
     return errors
 
 
@@ -692,9 +696,9 @@ def test_served_hits_match_the_queued_path(monkeypatch, policy_kind):
             _queued_only(m)
             want = _mixed_run(policy_kind, seed)
         assert got == want, f"{policy_kind} seed {seed}"
-        assert sum(1 for _, k in runs if k) >= 30, "the path was hardly taken"
-        assert sum(1 for n, k in runs if k < n) >= 30
-        cut += sum(1 for n, k in runs if 0 < k < n)
+        assert sum(1 for _, k, _ in runs if k) >= 30, "the path was hardly taken"
+        assert sum(1 for n, k, _ in runs if k < n) >= 30
+        cut += sum(1 for n, k, _ in runs if 0 < k < n)
         collected += got["gc"]["blocks_collected"]
         assert got["io"]["evictions"] and got["io"]["merges"]
         assert got["io"]["read_hits"] and got["io"]["cache_hits"]
@@ -789,6 +793,11 @@ def test_directed_submit_inline_cases(monkeypatch, case):
         _queued_only(m)
         want = _directed_run(*args)
     assert runs[0][1] == want_served
+    req = runs[0][2]
+    if want_served == args[3]:
+        assert req is None                 # served to the end of the run
+    else:                                  # the sector it stopped at
+        assert (req.kind, req.lsn) == ("write", 1 + want_served)
     assert got == want
     took, errors = got["records"][0]
     if case == "wrong-size-payload":
@@ -804,20 +813,23 @@ def test_write_run_serves_nothing_on_a_miss_or_a_busy_worker():
     data = sector_payload("run", SECTOR)
 
     def client():
-        assert io.write_run(5 * SPP, data) == 0          # no buffer for LPN 5
-        miss = io.submit(IoRequest("write", 5 * SPP, data))
+        miss = io.write_run(5 * SPP, data * 2)           # no buffer for LPN 5
+        assert (miss.kind, miss.lsn, bytes(miss.data)) == ("write", 5 * SPP, data)
+        assert miss.submit_us == eng.sched.now and list(io.queues[0]) == [miss]
         yield miss
-        assert io.write_run(5 * SPP + 1, data * 2) == 2
+        assert io.write_run(5 * SPP + 1, data * 2) is None
         first = io.submit(IoRequest("read", 5 * SPP))
-        assert io.write_run(5 * SPP + 3, data) == 0      # the worker has a queue
+        queued = io.write_run(5 * SPP + 3, data)         # the worker has a queue
+        assert queued.lsn == 5 * SPP + 3 and list(io.queues[0]) == [first, queued]
         yield first
         assert first.result == data
-        assert io.write_run(5 * SPP + 3, data) == 1
+        yield queued
+        assert io.write_run(5 * SPP + 4, data) is None
 
     eng.pump(eng.sched.spawn(client(), "client").done_event)
     slot = eng.io.slots[eng.state.buf_find(5)]
-    assert slot.dirty == 0b1111
-    assert eng.io.counters["cache_hits"] == 3
+    assert slot.dirty == 0b11111
+    assert eng.io.counters["cache_hits"] == 4
     eng.shutdown(clean=True)
 
 
@@ -832,6 +844,11 @@ def test_write_run_rejects_a_page_crossing_and_a_stopped_engine():
     with pytest.raises(AddressError, match="outside exported capacity"):
         eng.io.write_run(eng.io.num_sectors, data)
     assert _snapshot(eng, []) == before
+    # outside a scheduler step nothing is served: the first sector is queued
+    req = eng.io.write_run(1, data * 2)
+    assert (req.lsn, bytes(req.data)) == (1, data)
+    eng.pump(req)
+    assert req.error is None and eng.read_sector(1) == data
     eng.shutdown(clean=True)
     with pytest.raises(EngineStateError):
         eng.io.write_run(1, data)
@@ -867,4 +884,4 @@ def test_drive_with_runs_matches_the_queued_path(monkeypatch, kind):
     report = got[0]
     assert report.errors == 0 and report.blocks_collected > 0
     written = report.counters["io"]["user_sectors_written"]
-    assert sum(k for _, k in runs) >= 0.8 * written
+    assert sum(k for _, k, _ in runs) >= 0.8 * written

@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import math
 import random
 
 import pytest
@@ -340,8 +341,9 @@ class DecisionScheduler(Scheduler):
 
 
 def deciding_actor(sched, events, trace, name, ops):
-    """`program_actor` that asks `resumes_in_place` before each yield and
-    checks, on resumption, whether `_run` resumed it in place."""
+    """`program_actor` that asks `in_place_until()` before each yield whether
+    it will be resumed in place and checks, on resumption, whether `_run`
+    resumed it in place."""
     trace.append((sched.now, name))
     children = 0
     for op, arg in ops:
@@ -356,7 +358,8 @@ def deciding_actor(sched, events, trace, name, ops):
         at = _resume_at(sched, op, arg, events)
         record = None
         if at is not None:
-            record = [sched.resumes_in_place(at), None]
+            until = sched.in_place_until()
+            record = [until is not None and at < until, None]
             sched.decisions.append(record)
             sched.requeued.discard(name)
         sched.last_yield = record
@@ -424,17 +427,17 @@ def test_clock_moved_inside_a_step_gives_the_yield_trace():
 
 def test_pump_target_is_cleared_when_a_pump_fails():
     sched = Scheduler(0)
-    assert sched._target is None and not sched.resumes_in_place(0)
+    assert sched._target is None and sched.in_place_until() is None
     seen = []
 
     def watcher():
-        seen.append(sched.resumes_in_place(sched.now + 1))
+        seen.append(sched.in_place_until())
         yield 5
 
     sched.spawn(watcher(), "w")
     with pytest.raises(SchedulerHang):
         sched.pump(sched.event())
-    assert seen == [True] and sched._target is None
+    assert seen == [math.inf] and sched._target is None
 
     def spinner():
         while True:
@@ -443,7 +446,7 @@ def test_pump_target_is_cleared_when_a_pump_fails():
     sched.spawn(spinner(), "spin")
     with pytest.raises(SchedulerHang):
         sched.pump(sched.event(), max_events=10)
-    assert sched._target is None and not sched.resumes_in_place(sched.now)
+    assert sched._target is None and sched.in_place_until() is None
 
     def boom():
         yield 1
@@ -451,4 +454,4 @@ def test_pump_target_is_cleared_when_a_pump_fails():
 
     with pytest.raises(ActorFailed):
         sched.join(sched.spawn(boom(), "boom"))
-    assert sched._target is None and not sched.resumes_in_place(sched.now)
+    assert sched._target is None and sched.in_place_until() is None
