@@ -9,10 +9,13 @@ acknowledgement.
 
 Aging injection synthesizes a long-used device by mutating the tables and
 flash directly: it plans per-bank free-block counts and per-block
-valid-page counts from clipped normal distributions, writes consistent page
-data and spare metadata (stale pages carry lower sequence numbers than the
-live copy of the same LPN), fills the tables directly, then rebases the
-device clocks so the synthesis costs no simulated time.
+valid-page counts from clipped normal distributions, programs each occupied
+block's consistent page data and spare metadata in one
+`SimFlashDevice.program_block` call (stale pages carry lower sequence
+numbers than the live copy of the same LPN), fills the tables with array
+assignments, then rebases the device clocks so the synthesis costs no
+simulated time. A spec that cannot be aged as asked raises
+ConfigurationError before any page is written.
 """
 
 import json
@@ -29,7 +32,6 @@ from .ftl_state import UNMAPPED
 from .gc_engine import GcPolicy
 from .io_engine import EngineParams
 from .oob import TYPE_DATA, encode_spare
-from .sim_flash import PageAddress
 
 MS = 1000
 SEC = 1000 * MS
@@ -197,9 +199,27 @@ def drive(eng, spec, preset=""):
 # ---- artificial aging -----------------------------------------------------------
 
 
-def _aged_payload(lpn, seq, page_size):
-    head = struct.pack("<IQ", lpn, seq)
-    return head + b"\x00" * (page_size - len(head))
+def _aged_payload(page_size):
+    """The layout of an aged page: its lpn and sequence number, then zeros."""
+    return struct.Struct(f"<IQ{page_size - 12}x")
+
+
+def _aging_valid_max(aging, ppb):
+    """The spec's effective valid_max; a spec that cannot be aged as asked
+    raises ConfigurationError naming the field."""
+    for name in ("free_mean", "free_spread", "free_min",
+                 "valid_mean", "valid_spread", "valid_min", "valid_max"):
+        if getattr(aging, name) < 0:
+            raise ConfigurationError(f"aging {name} must not be negative")
+    if aging.valid_max > ppb:
+        raise ConfigurationError(
+            f"aging valid_max {aging.valid_max} exceeds the {ppb} pages "
+            f"of a block")
+    valid_max = aging.valid_max or ppb - 1
+    if aging.valid_min > valid_max:
+        raise ConfigurationError(
+            f"aging valid_min {aging.valid_min} exceeds valid_max {valid_max}")
+    return valid_max
 
 
 def inject_aging(eng, aging):
@@ -209,64 +229,64 @@ def inject_aging(eng, aging):
     state, device, g = eng.state, eng.device, eng.device.geometry
     if int((state.map != UNMAPPED).sum()):
         raise EngineStateError("aging needs an empty mapping")
-    rng = np.random.default_rng(aging.seed)
     ppb = g.pages_per_block
-    valid_max = aging.valid_max or ppb - 1
-    plans = []          # (bank, block, sorted valid page positions)
-    total_valid = 0
+    valid_max = _aging_valid_max(aging, ppb)
+    rng = np.random.default_rng(aging.seed)
+    occupied = []       # (bank, block), in plan order
+    positions = []      # each occupied block's valid pages
     for bank in range(g.num_banks):
         usable = [b for b in range(g.blocks_per_bank)
                   if not state.bad_bits[bank, b]]
-        free_n = int(np.clip(round(rng.normal(aging.free_mean, aging.free_spread)),
-                             aging.free_min, len(usable)))
-        occupied = rng.permutation(len(usable))[:len(usable) - free_n]
-        for i in sorted(int(x) for x in occupied):
-            block = usable[i]
-            v = int(np.clip(round(rng.normal(aging.valid_mean, aging.valid_spread)),
-                            aging.valid_min, valid_max))
-            positions = sorted(int(p) for p in rng.permutation(ppb)[:v])
-            plans.append((bank, block, positions))
-            total_valid += v
+        free_n = min(max(round(rng.normal(aging.free_mean, aging.free_spread)),
+                         aging.free_min), len(usable))
+        chosen = rng.permutation(len(usable))[:len(usable) - free_n]
+        for i in sorted(chosen.tolist()):
+            v = min(max(round(rng.normal(aging.valid_mean, aging.valid_spread)),
+                        aging.valid_min), valid_max)
+            occupied.append((bank, usable[i]))
+            positions.append(rng.permutation(ppb)[:v])
+    # one row per occupied block, one column per page: True where valid
+    live = np.zeros((len(occupied), ppb), dtype=bool)
+    for row, valid in zip(live, positions):
+        row[valid] = True
+    total_valid = int(live.sum())
     if total_valid > state.num_lpns:
         raise ConfigurationError("aging spec maps more lpns than exported")
+    n_stale = live.size - total_valid
+    if n_stale and not total_valid:
+        raise ConfigurationError(
+            "aging plans stale pages but no valid page for them to name")
     lpn_order = rng.permutation(state.num_lpns)[:total_valid]
-    # stale pages reference live lpns with strictly lower sequence numbers
-    n_stale = sum(ppb - len(p) for _, _, p in plans)
-    seq_stale = 0
-    seq_live = n_stale
-    lpn_cursor = 0
-    live_lpns = [int(x) for x in lpn_order]
-    for bank, block, positions in plans:
-        pos_set = set(positions)
-        for page in range(ppb):
-            if page in pos_set:
-                lpn = live_lpns[lpn_cursor]
-                lpn_cursor += 1
-                seq_live += 1
-                seq = seq_live
-                live = True
-            else:
-                lpn = live_lpns[int(rng.integers(len(live_lpns)))] if live_lpns else 0
-                seq_stale += 1
-                seq = seq_stale
-                live = False
-            data = _aged_payload(lpn, seq, g.page_size)
-            spare = encode_spare(TYPE_DATA, lpn, seq, data)
-            device.write_page(PageAddress(bank, block, page), data, spare,
-                              submit_us=eng.sched.now)
-            ppn = g.ppn(bank, block, page)
-            if live:
-                state.map[lpn] = np.uint32(ppn)
-        gblock = bank * g.blocks_per_bank + block
-        state.free_bits[bank, block] = False
-        state.valid_bits[gblock, positions] = True
-        state.valid_count[gblock] = len(positions)
+    # pages in plan order: live pages take lpn_order in turn; stale pages
+    # name random live lpns with strictly lower sequence numbers
+    lpns = np.empty(live.shape, dtype=np.int64)
+    seqs = np.empty(live.shape, dtype=np.int64)
+    lpns[live] = lpn_order
+    seqs[live] = np.arange(n_stale + 1, n_stale + total_valid + 1)
+    if n_stale:
+        lpns[~live] = lpn_order[rng.integers(total_valid, size=n_stale)]
+        seqs[~live] = np.arange(1, n_stale + 1)
+    payload = _aged_payload(g.page_size).pack
+    for (bank, block), row_lpns, row_seqs in zip(occupied, lpns, seqs):
+        heads = list(zip(row_lpns.tolist(), row_seqs.tolist()))
+        pages = [payload(lpn, seq) for lpn, seq in heads]
+        spares = [encode_spare(TYPE_DATA, lpn, seq, data)
+                  for (lpn, seq), data in zip(heads, pages)]
+        device.program_block(bank, block, pages, spares)
+    if occupied:
+        banks, blocks = np.array(occupied).T
+        state.free_bits[banks, blocks] = False
+        gblocks = banks * g.blocks_per_bank + blocks
+        state.valid_bits[gblocks] = live
+        state.valid_count[gblocks] = live.sum(axis=1)
+        ppns = gblocks[:, None] * ppb + np.arange(ppb)
+        state.map[lpn_order] = ppns[live]
     state.recount()
     state.sequence_floor(n_stale + total_valid + 1)
     device.reset_clocks(eng.sched.now)
     eng.reset_baseline()
     state.audit()
-    return {"mapped": total_valid, "occupied_blocks": len(plans)}
+    return {"mapped": total_valid, "occupied_blocks": len(occupied)}
 
 
 def aged_read_check(eng, sample=64):
@@ -277,11 +297,12 @@ def aged_read_check(eng, sample=64):
     if mapped.size == 0:
         return 0
     step = max(1, mapped.size // sample)
+    layout = _aged_payload(g.page_size)
     checked = 0
     for lpn in (int(x) for x in mapped[::step]):
         data, spare, _ = eng.device.read_page(g.split_ppn(int(state.map[lpn])),
                                               want_spare=True)
-        got_lpn, got_seq = struct.unpack_from("<IQ", data)
+        got_lpn, got_seq = layout.unpack(data)
         if got_lpn != lpn:
             raise AssertionError(f"aged lpn {lpn} reads back {got_lpn}")
         checked += 1

@@ -89,8 +89,9 @@ def cmd_inject_aging(args):
         seed=args.seed)
     try:
         info = bench.inject_aging(eng, spec)
-    except EngineStateError as exc:
-        # the image already holds data: leave it as it is
+    except (ConfigurationError, EngineStateError) as exc:
+        # a spec that cannot be aged, or an image that already holds data:
+        # leave the image as it is
         eng.abort()
         print(f"cannot age {args.image}: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,9 @@ read queue per two consecutive banks, and a configurable latency model.
 `write_page`, `read_page` and `erase_block` are the one request path: each
 acts at once and returns a completion descriptor charged on virtual clocks.
 A page address is unpacked as a `(bank, block, page)` 3-tuple, so a
-`PageAddress` and a plain tuple make the same request. Once checked, a
+`PageAddress` and a plain tuple make the same request. `program_block` is
+not a request: it synthesizes an erased block's pages for an aged card,
+stored and counted as `write_page` would, and moves no clock. Once checked, a
 request is charged by `_service` on plain ints, which looks each bank's
 interface and read queue up in tables built with the device. A request
 first occupies its interface's bus (a read also its read queue) for a
@@ -420,6 +422,39 @@ class SimFlashDevice:
         self._stats.blocks_erased += 1
         self._stats.erase_counts_per_bank[bank] += 1
         return self._service("erase", bank, block, 0, submit_us)
+
+    # ---- synthesis --------------------------------------------------------
+
+    def program_block(self, bank, block, pages, spares):
+        """Program pages 0..n-1 of an erased, good block with `pages` and
+        their `spares`, stored and counted as n `write_page` calls would
+        store and count them, request ids included. This is synthesis, not
+        a device request: no bus, bank, queue or `now_us` clock moves and
+        no request log row is written. It builds an aged card
+        (`bench.inject_aging`); user IO programs through `write_page`."""
+        self._check_block(bank, block)
+        blk = self._block(bank, block)
+        if blk.is_bad:
+            raise BadBlockError(f"bank {bank} block {block} is bad")
+        if blk.next_writable_page:
+            raise OverwriteViolation(
+                f"bank {bank} block {block} is not erased")
+        n = len(pages)
+        if n > self._pages_per_block or len(spares) != n:
+            raise AddressError(f"{n} pages and {len(spares)} spares for a "
+                               f"{self._pages_per_block}-page block")
+        if set(map(len, pages)) - {self._page_size}:
+            raise AddressError("write payload must be one full page")
+        if max(map(len, spares), default=0) > self.geometry.spare_per_page:
+            raise AddressError("spare payload exceeds spare area")
+        store = self._store
+        blk.pages[:n] = [store(bytes(data)) for data in pages]
+        blk.spares[:n] = [bytes(spare) for spare in spares]
+        blk.next_writable_page = n
+        stats = self._stats
+        stats.pages_written += n
+        stats.requests_accepted += n
+        self._next_req_id += n
 
     # ---- introspection ---------------------------------------------------
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -128,6 +129,81 @@ def test_aged_state_survives_recovery_scan():
     scanner = Checkpointer(sched, device, state, 4)
     sched.join(sched.spawn(scanner.recovery_scan(), "scan"))
     assert np.array_equal(state.map, saved_map)
+
+
+def test_aging_with_stale_pages_but_no_valid_one_is_refused_before_writing():
+    eng = tiny_engine(profile="desk8")
+    spec = AgingSpec(valid_mean=0, valid_spread=0, free_mean=40, seed=3)
+    with pytest.raises(ConfigurationError, match="no valid page"):
+        inject_aging(eng, spec)
+    assert eng.device.device_stats().pages_written == 0
+    assert eng.state.free_bits.all()
+    eng.shutdown(clean=True)
+
+
+@pytest.mark.parametrize("fields, named", [
+    (dict(valid_mean=70, valid_spread=0, valid_max=100), "valid_max"),
+    (dict(valid_min=5, valid_max=3), "valid_min"),
+    (dict(valid_min=8), "valid_min"),
+    (dict(valid_max=-1), "valid_max"),
+    (dict(free_mean=-1), "free_mean"),
+    (dict(free_spread=-0.5), "free_spread"),
+    (dict(free_min=-1), "free_min"),
+    (dict(valid_mean=-2), "valid_mean"),
+    (dict(valid_spread=-1), "valid_spread"),
+    (dict(valid_min=-1), "valid_min"),
+])
+def test_aging_spec_out_of_bounds_is_refused_naming_the_field(fields, named):
+    eng = tiny_engine()
+    with pytest.raises(ConfigurationError, match=named):
+        inject_aging(eng, AgingSpec(**{"free_mean": 8, **fields}))
+    assert eng.device.device_stats().pages_written == 0
+    eng.shutdown(clean=True)
+
+
+# SHA-256 of what aging leaves on the card and in the tables: the flash image
+# (every block's pages, spares, prefix and erase count, the device counters
+# and clock), the map, the valid bits and counts, the free bits and the
+# sequence counter
+AGED_CARD_PINS = {
+    "npgc-vs-pllgc":
+        "724e11fc4156e1a874bee59895de7bed982d8d45947f6c62e6264e5e0923f271",
+    "adaptive-vs-pllgc":
+        "cdebfa3ccadfc1975dcdc3f733a8d86b3ead2eb9a3807609f1c4817bfeca100b",
+    "tiny":
+        "3a42777034607373e359b48a0a50eea19a21410253a66006bfdcf7ef43aacf33",
+}
+
+
+def _aged_card_digest(eng, aging, image):
+    inject_aging(eng, aging)
+    eng.device.save_image(image)
+    h = hashlib.sha256()
+    with open(image, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    s = eng.state
+    for table in (s.map, s.valid_bits, s.valid_count, s.free_bits):
+        h.update(table.tobytes())
+    h.update(str(s.sequence).encode())
+    eng.abort()
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(AGED_CARD_PINS))
+def test_aged_card_is_pinned(tmp_path, case):
+    if case == "tiny":
+        eng = tiny_engine()
+        aging = AgingSpec(free_mean=8, free_spread=2, free_min=2, valid_mean=3,
+                          valid_spread=2, valid_max=6, seed=9)
+    else:
+        bundle = preset(case, seed=1)
+        eng = Engine.start(EngineConfig(profile=bundle.profile, io=bundle.io,
+                                        policy=bundle.policy,
+                                        levels=bundle.levels, seed=1))
+        aging = bundle.aging
+    digest = _aged_card_digest(eng, aging, str(tmp_path / "aged.img"))
+    assert digest == AGED_CARD_PINS[case]
 
 
 def test_normalization_floor_and_ratios():

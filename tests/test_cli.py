@@ -59,6 +59,17 @@ def test_aging_an_image_that_holds_data_is_refused_and_leaves_it(tmp_path,
     assert image.read_bytes() == aged
 
 
+def test_aging_with_no_valid_page_exits_2_and_leaves_no_image(tmp_path,
+                                                            capsys):
+    image = tmp_path / "aged.img"
+    rc = main(["inject-aging", "--image", str(image), "--profile", "tiny",
+               "--valid-mean", "0", "--valid-spread", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "no valid page" in err and "Traceback" not in err
+    assert not image.exists()
+
+
 @pytest.mark.parametrize("policy", ["PLLGC", "PLLGC_ADAPTIVE"])
 def test_run_without_a_collector_is_reported_with_status_2(tmp_path, capsys,
                                                            policy):

@@ -152,3 +152,16 @@ def test_only_the_io_engine_queues_a_client_write():
                                                                "submit"):
             found.add(node.attr)
     assert found == set()
+
+
+def test_only_aging_synthesizes_blocks():
+    """`SimFlashDevice.program_block` moves no device clock, so only the
+    aging synthesis in `bench` may call it: user IO and GC program pages
+    through the timed `write_page`."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr == "program_block"):
+                callers.add(path.name)
+    assert callers == {"bench.py"}

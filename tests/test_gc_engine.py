@@ -5,6 +5,7 @@ import pytest
 
 from bankftl.gc_engine import (GcController, GcLevel, GcPolicy,
                                default_adaptive_map, default_levels)
+from bankftl.oob import TYPE_DATA, encode_spare
 
 from conftest import TINY, ShadowBlockDevice, sector_payload, synth_block, tiny_engine
 
@@ -403,5 +404,44 @@ def test_copy_losing_its_remap_race_stays_invalid():
                                     copy_ppn % g.pages_per_block]
     for lsn, data in rewrite.items():
         assert eng.read_sector(lsn) == data
+    eng.audit(deep=True)
+    eng.shutdown(clean=True)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 11: a user page counts as invalid while its program is in "
+    "flight, so a collection may pick its block, copy nothing and erase it"))
+def test_collection_spares_a_block_whose_last_page_is_in_flight():
+    eng = tiny_engine()
+    g = eng.device.geometry
+    state, bank, lpn = eng.state, 0, 5
+    # every page of the bank's open block but the last holds stale data
+    for page in range(g.pages_per_block - 1):
+        ppn = state.alloc_page_in_bank(bank)
+        data = sector_payload(("stale", page), g.page_size)
+        eng.device.write_page(g.split_ppn(ppn), data,
+                              encode_spare(TYPE_DATA, lpn, 0, data),
+                              submit_us=eng.sched.now)
+    assert state.banks[bank].next_page == g.pages_per_block - 1
+    eng.io._bank_cursor = bank
+    page = sector_payload(("user", lpn), g.page_size)
+
+    def writer():
+        # takes the block's last page and waits for its program
+        yield from eng.io._flush_page(lpn, bytearray(page), eng.io.full_mask)
+
+    def collector():
+        yield 1
+        victim = eng.gc.select_victim(bank, 0)
+        if victim is not None:
+            yield from eng.gc.collect_block(bank, victim)
+
+    actors = [eng.sched.spawn(writer(), "writer"),
+              eng.sched.spawn(collector(), "collector")]
+    for actor in actors:
+        eng.sched.join(actor)
+    eng.flush()
+    got = b"".join(eng.read_sector(lpn * SPP + s) for s in range(SPP))
+    assert got == page
     eng.audit(deep=True)
     eng.shutdown(clean=True)

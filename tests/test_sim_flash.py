@@ -628,6 +628,79 @@ def test_request_checks_and_messages_for_both_address_forms(case, form):
     assert dev.device_stats().requests_accepted == accepted
 
 
+# ---- block synthesis -----------------------------------------------------------
+
+
+def clocks(dev):
+    return (dev.now_us, list(dev.bus_free_at), list(dev.bank_free_at),
+            [q.free_at for q in dev.read_queues])
+
+
+@pytest.mark.parametrize("n", [0, 5, TINY.pages_per_block])
+def test_program_block_stores_and_counts_as_write_page_does(n):
+    rng = random.Random(n)
+    # dense pages, a run of equal ones, and sparse header pages
+    pages = [bytes(rng.getrandbits(8) for _ in range(PAGE)) if p % 3 == 0
+             else page_of(7) if p % 3 == 1
+             else bytes([p]) + bytes(PAGE - 1) for p in range(n)]
+    spares = [bytes([p + 1]) * (p + 1) for p in range(n)]
+    looped, synth = tiny_device(), tiny_device()
+    for dev in (looped, synth):
+        dev.enable_request_log()
+        dev.write_page(PageAddress(1, 0, 0), page_of(3))
+    for p in range(n):
+        looped.write_page(PageAddress(0, 2, p), pages[p], spares[p])
+    before, log = clocks(synth), list(synth.request_log)
+    synth.program_block(0, 2, pages, spares)
+    addrs = [PageAddress(0, 2, p) for p in range(n)]
+    assert [stored(synth, a) for a in addrs] == [stored(looped, a) for a in addrs]
+    assert [synth._banks[0][2].spares[p] for p in range(n)] == spares
+    assert synth.block_state(0, 2) == looped.block_state(0, 2) == (0, n, False,
+                                                                    False)
+    assert synth.device_stats() == looped.device_stats()
+    assert clocks(synth) == before
+    assert (clocks(looped) != before) == bool(n)
+    assert synth.request_log == log
+    nxt = PageAddress(3, 0, 0)
+    assert (synth.write_page(nxt, page_of(4)).request_id
+            == looped.write_page(nxt, page_of(4)).request_id)
+    for a, data in zip(addrs, pages):
+        assert synth.read_page(a)[0] == data
+
+
+BLOCK_CHECKS = {
+    "bank": ((-1, 0, [page_of(1)], [b""]), AddressError,
+             "bank -1 block 0 out of range"),
+    "block": ((0, 16, [page_of(1)], [b""]), AddressError,
+              "bank 0 block 16 out of range"),
+    "bad block": ((1, 3, [page_of(1)], [b""]), BadBlockError,
+                  "bank 1 block 3 is bad"),
+    "not erased": ((0, 1, [page_of(1)], [b""]), OverwriteViolation,
+                   "bank 0 block 1 is not erased"),
+    "pages": ((0, 0, [page_of(1)] * 9, [b""] * 9), AddressError,
+              "9 pages and 9 spares for a 8-page block"),
+    "spares": ((0, 0, [page_of(1)] * 2, [b""]), AddressError,
+               "2 pages and 1 spares for a 8-page block"),
+    "payload": ((0, 0, [page_of(1), b"x"], [b"", b""]), AddressError,
+                "write payload must be one full page"),
+    "spare": ((0, 0, [page_of(1)] * 2, [b"", b"s" * 33]), AddressError,
+              "spare payload exceeds spare area"),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_CHECKS)
+def test_program_block_checks_once_and_stores_nothing_it_rejects(case):
+    args, error, message = BLOCK_CHECKS[case]
+    dev = tiny_device(bad_blocks=[(1, 3)])
+    dev.write_page(PageAddress(0, 1, 0), page_of(2))
+    stats = dev.device_stats()
+    with pytest.raises(error) as info:
+        dev.program_block(*args)
+    assert str(info.value) == message
+    assert dev.device_stats() == stats
+    assert dev.written_prefix(0, 0) == 0 and dev.written_prefix(0, 1) == 1
+
+
 # ---- flash images are parsed, never executed ---------------------------------
 
 IMAGE_TAGS = dict.fromkeys((b"PROF", b"CNTR", b"WEAR", b"BLKS"))
