@@ -9,29 +9,32 @@ acknowledgement.
 
 Aging injection synthesizes a long-used device by mutating the tables and
 flash directly: it plans per-bank free-block counts and per-block
-valid-page counts from clipped normal distributions, programs each occupied
-block's consistent page data and spare metadata in one
-`SimFlashDevice.program_block` call (stale pages carry lower sequence
-numbers than the live copy of the same LPN), fills the tables with array
-assignments, then rebases the device clocks so the synthesis costs no
+valid-page counts from clipped normal distributions, then builds every aged
+page in array operations. Each aged page is a 12-byte head, its LPN and
+sequence number (`_AGED_HEAD`), followed by zeros; stale pages carry lower
+sequence numbers than the live copy of the same LPN. All heads are packed
+in one array, all spares come from one `oob.encode_head_spares` call, and
+each occupied block's heads and spares are programmed in one
+`SimFlashDevice.program_block` call. The tables are filled with array
+assignments, then the device clocks are rebased so the synthesis costs no
 simulated time. A spec that cannot be aged as asked raises
-ConfigurationError before any page is written.
+ConfigurationError before any page is written. `aged_read_check` reads a
+sample of aged pages back and checks each one's head and spare.
 """
 
 import json
 import os
 import random
-import struct
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .engine import Engine, EngineConfig
-from .errors import ConfigurationError, EngineStateError
+from .errors import AuditError, ConfigurationError, EngineStateError
 from .ftl_state import UNMAPPED
 from .gc_engine import GcPolicy
 from .io_engine import EngineParams
-from .oob import TYPE_DATA, encode_spare
+from .oob import TYPE_DATA, decode_spare, encode_head_spares
 
 MS = 1000
 SEC = 1000 * MS
@@ -199,9 +202,8 @@ def drive(eng, spec, preset=""):
 # ---- artificial aging -----------------------------------------------------------
 
 
-def _aged_payload(page_size):
-    """The layout of an aged page: its lpn and sequence number, then zeros."""
-    return struct.Struct(f"<IQ{page_size - 12}x")
+# the head of an aged page, which zeros follow up to the page size
+_AGED_HEAD = np.dtype([("lpn", "<u4"), ("seq", "<u8")])
 
 
 def _aging_valid_max(aging, ppb):
@@ -266,13 +268,18 @@ def inject_aging(eng, aging):
     if n_stale:
         lpns[~live] = lpn_order[rng.integers(total_valid, size=n_stale)]
         seqs[~live] = np.arange(1, n_stale + 1)
-    payload = _aged_payload(g.page_size).pack
-    for (bank, block), row_lpns, row_seqs in zip(occupied, lpns, seqs):
-        heads = list(zip(row_lpns.tolist(), row_seqs.tolist()))
-        pages = [payload(lpn, seq) for lpn, seq in heads]
-        spares = [encode_spare(TYPE_DATA, lpn, seq, data)
-                  for (lpn, seq), data in zip(heads, pages)]
-        device.program_block(bank, block, pages, spares)
+    heads = np.empty(live.size, dtype=_AGED_HEAD)
+    heads["lpn"] = lpns.ravel()
+    heads["seq"] = seqs.ravel()
+    width = _AGED_HEAD.itemsize
+    spares = encode_head_spares(TYPE_DATA, heads["lpn"], heads["seq"],
+                                heads.view(np.uint8).reshape(-1, width),
+                                g.page_size)
+    # each head as an opaque item: one `bytes` of its 12 bytes
+    heads = heads.view(f"V{width}")
+    for i, (bank, block) in enumerate(occupied):
+        rows = slice(i * ppb, (i + 1) * ppb)
+        device.program_block(bank, block, heads[rows].tolist(), spares[rows])
     if occupied:
         banks, blocks = np.array(occupied).T
         state.free_bits[banks, blocks] = False
@@ -290,21 +297,27 @@ def inject_aging(eng, aging):
 
 
 def aged_read_check(eng, sample=64):
-    """Every synthesized mapped lpn must read back its aged payload."""
+    """Read back a sample of the mapped lpns of a freshly aged card; each
+    page's head must name its lpn, and its spare must decode against the
+    page to that lpn and the head's sequence number. Raises AuditError
+    otherwise; returns how many pages it checked."""
     g = eng.device.geometry
     state = eng.state
     mapped = np.flatnonzero(state.map != UNMAPPED)
     if mapped.size == 0:
         return 0
     step = max(1, mapped.size // sample)
-    layout = _aged_payload(g.page_size)
     checked = 0
     for lpn in (int(x) for x in mapped[::step]):
         data, spare, _ = eng.device.read_page(g.split_ppn(int(state.map[lpn])),
                                               want_spare=True)
-        got_lpn, got_seq = layout.unpack(data)
+        head = np.frombuffer(data, dtype=_AGED_HEAD, count=1)[0]
+        got_lpn, got_seq = int(head["lpn"]), int(head["seq"])
         if got_lpn != lpn:
-            raise AssertionError(f"aged lpn {lpn} reads back {got_lpn}")
+            raise AuditError(f"aged lpn {lpn} reads back {got_lpn}")
+        if decode_spare(spare, data) != (TYPE_DATA, lpn, got_seq):
+            raise AuditError(f"aged lpn {lpn} has a spare that does not "
+                             f"decode to lpn {lpn} seq {got_seq}")
         checked += 1
     return checked
 

@@ -59,8 +59,12 @@ def move_live_pages(sched, device, state, bank, block, alloc, cores=None,
             continue
         lpn = meta[1]
         # a fresh stamp would let a copy that loses its swap outrank newer
-        # user data during recovery
-        new_spare = oob.encode_spare(oob.TYPE_DATA, lpn, meta[2], data)
+        # user data during recovery; a data page's spare, its CRC just
+        # checked against `data`, is already the copy's
+        if meta[0] == oob.TYPE_DATA:
+            new_spare = spare[:oob.SPARE_BYTES]
+        else:
+            new_spare = oob.encode_spare(oob.TYPE_DATA, lpn, meta[2], data)
         new_ppn = alloc()
         if new_ppn is None:
             return False

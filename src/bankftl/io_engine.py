@@ -26,8 +26,9 @@ with no other actor in between: the worker is parked, the LPN is buffered,
 no actor is ready, the event being pumped has not fired, and the charge's
 end is strictly before the next heap entry (`Scheduler.in_place_until`).
 Within one LPN and one step only that end moves from sector to sector, so
-the run books each sector's core through `CorePool.charge`, moves the clock
-to its end, and stops at the first sector that would be queued; the slot's
+the run books each sector's core through `CorePool.charge` bounded by the
+heap entry (`before=`), moves the clock to its end, and stops at the first
+sector whose charge that bound refuses; the slot's
 bytes, dirty bits and stamp then change once. Virtual time, counters and
 heap order are those of the handoffs. The run then queues the sector it
 stopped at, as `submit` would, and returns that request for the caller to
@@ -213,15 +214,16 @@ class IoEngine:
         cores = self.cores
         served = 0
         while served < n and slot_idx is not None:
-            # the end of the charge CorePool.charge books next: nothing may
-            # be due by then
-            start = min(cores.free_at) if cores else now
-            end = (start if start > now else now) + cpu_us
-            if end >= until:
-                break
+            # nothing may be due by the end of the sector's charge
             if cores:
-                cores.charge(cpu_us)
-            now = sched.now = end
+                delay = cores.charge(cpu_us, before=until)
+                if delay is None:
+                    break
+                now = sched.now = now + delay
+            elif now + cpu_us < until:
+                now = sched.now = now + cpu_us
+            else:
+                break
             served += 1
         if served:
             self.last_work_us[qi] = now

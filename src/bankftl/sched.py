@@ -218,13 +218,15 @@ class CorePool:
     """Host CPU model: every worker/collector compute charge occupies one of
     a fixed set of cores, so threads contend for cycles like kthreads on the
     modeled host. charge() books the earliest-free core (the first of
-    several) and returns the delay the caller should yield."""
+    several) and returns the delay the caller should yield. With a bound
+    `before`, it books only a charge that ends strictly before it, and
+    returns None, booking nothing, otherwise."""
 
     def __init__(self, sched, cores):
         self.sched = sched
         self.free_at = [0] * max(1, cores)
 
-    def charge(self, duration_us):
+    def charge(self, duration_us, before=None):
         free_at = self.free_at
         now = self.sched.now
         start = min(free_at)
@@ -232,5 +234,7 @@ class CorePool:
         if start < now:
             start = now
         done = start + duration_us
+        if before is not None and done >= before:
+            return None
         free_at[best] = done
         return done - now

@@ -7,8 +7,11 @@ read queue per two consecutive banks, and a configurable latency model.
 acts at once and returns a completion descriptor charged on virtual clocks.
 A page address is unpacked as a `(bank, block, page)` 3-tuple, so a
 `PageAddress` and a plain tuple make the same request. `program_block` is
-not a request: it synthesizes an erased block's pages for an aged card,
-stored and counted as `write_page` would, and moves no clock. Once checked, a
+not a request: it synthesizes an erased block's pages for an aged card from
+each page's head (the zeros after it are implied), stored and counted as
+`write_page` would store and count the full pages, and moves no clock. A
+rejected request or synthesis changes nothing, not even an untouched
+block's record. Once checked, a
 request is charged by `_service` on plain ints, which looks each bank's
 interface and read queue up in tables built with the device. A request
 first occupies its interface's bus (a read also its read queue) for a
@@ -63,6 +66,9 @@ from .errors import (AddressError, BadBlockError, ConfigurationError,
 # bytes kept at the start of a read unit stored sparse; the largest header the
 # simulator writes into a unit is the checkpoint chain's 30 bytes
 _HEAD = 64
+# zero runs of every length up to _HEAD, which pad a short head to a unit's
+# stored head
+_ZEROS = [bytes(n) for n in range(_HEAD + 1)]
 
 
 @dataclass(frozen=True)
@@ -356,19 +362,22 @@ class SimFlashDevice:
         if not (0 <= bank < self._num_banks and 0 <= block < self._blocks_per_bank
                 and 0 <= page < self._pages_per_block):
             self._check_addr(bank, block, page)
-        blk = self._block(bank, block)
-        if blk.is_bad:
+        # a rejected request leaves an untouched block untouched
+        blk = self._banks[bank][block]
+        if blk is not None and blk.is_bad:
             raise BadBlockError(f"bank {bank} block {block} is bad")
         if len(data) != self._page_size:
             raise AddressError("write payload must be one full page")
         if len(spare) > self.geometry.spare_per_page:
             raise AddressError("spare payload exceeds spare area")
-        if page < blk.next_writable_page:
+        written = 0 if blk is None else blk.next_writable_page
+        if page < written:
             raise OverwriteViolation(
                 f"page {page} already written in block {block}")
-        if page > blk.next_writable_page:
-            raise SequencingViolation(
-                f"expected page {blk.next_writable_page}, got {page}")
+        if page > written:
+            raise SequencingViolation(f"expected page {written}, got {page}")
+        if blk is None:
+            blk = self._block(bank, block)
         blk.pages[page] = self._store(bytes(data))
         blk.spares[page] = bytes(spare)
         blk.next_writable_page = page + 1
@@ -425,31 +434,44 @@ class SimFlashDevice:
 
     # ---- synthesis --------------------------------------------------------
 
-    def program_block(self, bank, block, pages, spares):
-        """Program pages 0..n-1 of an erased, good block with `pages` and
-        their `spares`, stored and counted as n `write_page` calls would
-        store and count them, request ids included. This is synthesis, not
-        a device request: no bus, bank, queue or `now_us` clock moves and
-        no request log row is written. It builds an aged card
-        (`bench.inject_aging`); user IO programs through `write_page`."""
+    def program_block(self, bank, block, heads, spares):
+        """Program pages 0..n-1 of an erased, good block, page i being
+        `heads[i]` followed by zeros up to a full page (a head may be a full
+        page), with `spares[i]`. The pages are stored and counted as n
+        `write_page` calls would store and count them, request ids
+        included, and a request `write_page` would reject is rejected with
+        its error and message. This is synthesis, not a device request: no
+        bus, bank, queue or `now_us` clock moves and no request log row is
+        written. It builds an aged card (`bench.inject_aging`), whose pages
+        are short heads, so each costs its head rather than a page; user IO
+        programs through `write_page`."""
         self._check_block(bank, block)
-        blk = self._block(bank, block)
-        if blk.is_bad:
+        blk = self._banks[bank][block]
+        if blk is not None and blk.is_bad:
             raise BadBlockError(f"bank {bank} block {block} is bad")
-        if blk.next_writable_page:
+        if blk is not None and blk.next_writable_page:
             raise OverwriteViolation(
                 f"bank {bank} block {block} is not erased")
-        n = len(pages)
+        n = len(heads)
         if n > self._pages_per_block or len(spares) != n:
             raise AddressError(f"{n} pages and {len(spares)} spares for a "
                                f"{self._pages_per_block}-page block")
-        if set(map(len, pages)) - {self._page_size}:
+        if max(map(len, heads), default=0) > self._page_size:
             raise AddressError("write payload must be one full page")
         if max(map(len, spares), default=0) > self.geometry.spare_per_page:
             raise AddressError("spare payload exceeds spare area")
-        store = self._store
-        blk.pages[:n] = [store(bytes(data)) for data in pages]
-        blk.spares[:n] = [bytes(spare) for spare in spares]
+        # a `bytes` head that fits in a read unit's stored head, padded to
+        # it, is the page's whole stored form: `_store` of the page returns
+        # the same 1-tuple
+        short, zeros = self._head, _ZEROS
+        zero_page, store = self._zero_page, self._store
+        blk = self._block(bank, block)
+        blk.pages[:n] = [
+            (head + zeros[short - len(head)],)
+            if type(head) is bytes and len(head) <= short
+            else store(bytes(head) + zero_page[len(head):]) for head in heads]
+        blk.spares[:n] = [spare if type(spare) is bytes else bytes(spare)
+                          for spare in spares]
         blk.next_writable_page = n
         stats = self._stats
         stats.pages_written += n

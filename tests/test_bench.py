@@ -8,10 +8,11 @@ from bankftl.bench import (AgingSpec, RunReport, WorkloadSpec, aged_read_check,
                            drive, emit_report, inject_aging, preset, run,
                            run_preset)
 from bankftl.engine import Engine, EngineConfig
-from bankftl.errors import ConfigurationError, EngineStateError
+from bankftl.errors import AuditError, ConfigurationError, EngineStateError
 from bankftl.ftl_state import UNMAPPED
 from bankftl.gc_engine import GcPolicy
 from bankftl.io_engine import EngineParams, IoEngine
+from bankftl.oob import TYPE_DATA, encode_spare
 
 from conftest import TINY, tiny_engine
 
@@ -93,6 +94,27 @@ def test_aging_matches_distributions_and_audits():
     eng.audit(deep=True)
     assert aged_read_check(eng, sample=32) > 0
     eng.shutdown(clean=True)
+
+
+@pytest.mark.parametrize("garble", ["spare", "seq"])
+def test_aged_read_check_checks_each_sampled_spare(garble):
+    eng = tiny_engine()
+    inject_aging(eng, AgingSpec(free_mean=8, free_spread=2, free_min=2,
+                                valid_mean=3, valid_spread=2, valid_max=6,
+                                seed=9))
+    assert aged_read_check(eng, sample=1) == 1     # samples the first mapped lpn
+    lpn = int(np.flatnonzero(eng.state.map != UNMAPPED)[0])
+    addr = TINY.split_ppn(int(eng.state.map[lpn]))
+    if garble == "spare":
+        eng.device.corrupt_spare(addr)
+    else:
+        # a spare whose CRC holds but names another sequence number
+        blk = eng.device._banks[addr.bank][addr.block]
+        data, spare, _ = eng.device.read_page(addr, want_spare=True)
+        blk.spares[addr.page] = encode_spare(TYPE_DATA, lpn, 0, data)
+    with pytest.raises(AuditError, match=f"aged lpn {lpn} has a spare"):
+        aged_read_check(eng, sample=1)
+    eng.abort()
 
 
 def test_aging_all_free_equals_fresh():

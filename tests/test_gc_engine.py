@@ -5,7 +5,7 @@ import pytest
 
 from bankftl.gc_engine import (GcController, GcLevel, GcPolicy,
                                default_adaptive_map, default_levels)
-from bankftl.oob import TYPE_DATA, encode_spare
+from bankftl.oob import TYPE_DATA, decode_spare, encode_spare
 
 from conftest import TINY, ShadowBlockDevice, sector_payload, synth_block, tiny_engine
 
@@ -134,6 +134,26 @@ def test_collect_zero_valid_is_erase_only():
     assert after.blocks_erased == before.blocks_erased + 1
     assert after.pages_written == before.pages_written
     assert eng.state.free_bits[0, 0]
+    eng.shutdown(clean=True)
+
+
+def test_a_copy_keeps_its_source_spare_byte_for_byte():
+    eng = gc_engine()
+    g = eng.device.geometry
+    lpns = [10, 11, 12]
+    synth_block(eng, 0, 0, lpns, fill_pages=5)
+    source = {lpn: eng.device.read_page(g.split_ppn(eng.state.map_lookup(lpn)),
+                                        want_spare=True)[:2] for lpn in lpns}
+    delta = eng.run(eng.gc.collect_block(0, 0))
+    assert delta.valid_pages_copied == len(lpns)
+    for lpn, (data, spare) in source.items():
+        addr = g.split_ppn(eng.state.map_lookup(lpn))
+        assert addr[:2] != (0, 0)
+        copy_data, copy_spare, _ = eng.device.read_page(addr, want_spare=True)
+        assert (copy_data, copy_spare) == (data, spare)
+        seq = decode_spare(spare, data)[2]
+        stored = eng.device._banks[addr.bank][addr.block].spares[addr.page]
+        assert stored == encode_spare(TYPE_DATA, lpn, seq, data)
     eng.shutdown(clean=True)
 
 

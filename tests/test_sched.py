@@ -118,6 +118,20 @@ def test_core_pool_picks_first_of_equally_free_cores():
     assert pool.free_at == [30, 15, 10]
 
 
+def test_core_pool_charge_books_only_below_its_bound():
+    sched = Scheduler(0)
+    pool = CorePool(sched, 2)
+    pool.free_at[:] = [30, 10]
+    assert pool.charge(5, before=15) is None     # would end at the bound
+    assert pool.free_at == [30, 10]
+    assert pool.charge(5, before=16) == 15
+    assert pool.free_at == [30, 15]
+    sched.now = 20                               # an idle core starts now
+    assert pool.charge(5, before=25) is None
+    assert pool.charge(5, before=26) == 5
+    assert pool.free_at == [30, 25]
+
+
 # ---- order oracle: the scheduler against a heap-only reference ---------------
 
 class _PushToHeap:

@@ -614,18 +614,27 @@ REQUEST_CHECKS = {
 }
 
 
+def image_bytes(dev, path):
+    dev.save_image(path)
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("case", REQUEST_CHECKS)
 @pytest.mark.parametrize("form", [PageAddress, lambda *a: a],
                          ids=["PageAddress", "tuple"])
-def test_request_checks_and_messages_for_both_address_forms(case, form):
+def test_request_checks_and_messages_for_both_address_forms(tmp_path, case,
+                                                            form):
     call, error, message = REQUEST_CHECKS[case]
     dev = tiny_device(bad_blocks=[(1, 3)])
     dev.write_page(PageAddress(0, 1, 0), page_of(2))
     accepted = dev.device_stats().requests_accepted
+    image = image_bytes(dev, tmp_path / "before.img")
     with pytest.raises(error) as info:
         call(dev, form)
     assert str(info.value) == message
     assert dev.device_stats().requests_accepted == accepted
+    # not even a record of an untouched block (untouched blocks are not saved)
+    assert image_bytes(dev, tmp_path / "after.img") == image
 
 
 # ---- block synthesis -----------------------------------------------------------
@@ -639,10 +648,14 @@ def clocks(dev):
 @pytest.mark.parametrize("n", [0, 5, TINY.pages_per_block])
 def test_program_block_stores_and_counts_as_write_page_does(n):
     rng = random.Random(n)
-    # dense pages, a run of equal ones, and sparse header pages
-    pages = [bytes(rng.getrandbits(8) for _ in range(PAGE)) if p % 3 == 0
-             else page_of(7) if p % 3 == 1
-             else bytes([p]) + bytes(PAGE - 1) for p in range(n)]
+    # dense pages and a run of equal ones as full-length heads; a 1-byte
+    # head, a head longer than a unit's stored head, and an empty one
+    heads = [bytes(rng.getrandbits(8) for _ in range(PAGE)) if p % 5 == 0
+             else page_of(7) if p % 5 == 1
+             else bytes([p]) if p % 5 == 2
+             else bytes(rng.getrandbits(8) for _ in range(100)) if p % 5 == 3
+             else b"" for p in range(n)]
+    pages = [head + bytes(PAGE - len(head)) for head in heads]
     spares = [bytes([p + 1]) * (p + 1) for p in range(n)]
     looped, synth = tiny_device(), tiny_device()
     for dev in (looped, synth):
@@ -651,7 +664,7 @@ def test_program_block_stores_and_counts_as_write_page_does(n):
     for p in range(n):
         looped.write_page(PageAddress(0, 2, p), pages[p], spares[p])
     before, log = clocks(synth), list(synth.request_log)
-    synth.program_block(0, 2, pages, spares)
+    synth.program_block(0, 2, heads, spares)
     addrs = [PageAddress(0, 2, p) for p in range(n)]
     assert [stored(synth, a) for a in addrs] == [stored(looped, a) for a in addrs]
     assert [synth._banks[0][2].spares[p] for p in range(n)] == spares
@@ -681,7 +694,7 @@ BLOCK_CHECKS = {
               "9 pages and 9 spares for a 8-page block"),
     "spares": ((0, 0, [page_of(1)] * 2, [b""]), AddressError,
                "2 pages and 1 spares for a 8-page block"),
-    "payload": ((0, 0, [page_of(1), b"x"], [b"", b""]), AddressError,
+    "payload": ((0, 0, [b"x", page_of(1) + b"x"], [b"", b""]), AddressError,
                 "write payload must be one full page"),
     "spare": ((0, 0, [page_of(1)] * 2, [b"", b"s" * 33]), AddressError,
               "spare payload exceeds spare area"),
@@ -689,16 +702,19 @@ BLOCK_CHECKS = {
 
 
 @pytest.mark.parametrize("case", BLOCK_CHECKS)
-def test_program_block_checks_once_and_stores_nothing_it_rejects(case):
+def test_program_block_checks_once_and_stores_nothing_it_rejects(tmp_path,
+                                                                 case):
     args, error, message = BLOCK_CHECKS[case]
     dev = tiny_device(bad_blocks=[(1, 3)])
     dev.write_page(PageAddress(0, 1, 0), page_of(2))
     stats = dev.device_stats()
+    image = image_bytes(dev, tmp_path / "before.img")
     with pytest.raises(error) as info:
         dev.program_block(*args)
     assert str(info.value) == message
     assert dev.device_stats() == stats
     assert dev.written_prefix(0, 0) == 0 and dev.written_prefix(0, 1) == 1
+    assert image_bytes(dev, tmp_path / "after.img") == image
 
 
 # ---- flash images are parsed, never executed ---------------------------------
