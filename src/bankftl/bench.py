@@ -15,11 +15,12 @@ sequence number (`_AGED_HEAD`), followed by zeros; stale pages carry lower
 sequence numbers than the live copy of the same LPN. All heads are packed
 in one array, all spares come from one `oob.encode_head_spares` call, and
 each occupied block's heads and spares are programmed in one
-`SimFlashDevice.program_block` call. The tables are filled with array
-assignments, then the device clocks are rebased so the synthesis costs no
-simulated time. A spec that cannot be aged as asked raises
-ConfigurationError before any page is written. `aged_read_check` reads a
-sample of aged pages back and checks each one's head and spare.
+`SimFlashDevice.program_block` call, each head already in the device's
+stored form of its page. The tables are filled with array assignments,
+then the device clocks are rebased so the synthesis costs no simulated
+time. A spec that cannot be aged as asked raises ConfigurationError before
+any page is written. `aged_read_check` reads a sample of aged pages back
+and checks each one's head and spare.
 """
 
 import json
@@ -29,12 +30,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import oob
 from .engine import Engine, EngineConfig
 from .errors import AuditError, ConfigurationError, EngineStateError
 from .ftl_state import UNMAPPED
 from .gc_engine import GcPolicy
 from .io_engine import EngineParams
-from .oob import TYPE_DATA, decode_spare, encode_head_spares
 
 MS = 1000
 SEC = 1000 * MS
@@ -272,14 +273,16 @@ def inject_aging(eng, aging):
     heads["lpn"] = lpns.ravel()
     heads["seq"] = seqs.ravel()
     width = _AGED_HEAD.itemsize
-    spares = encode_head_spares(TYPE_DATA, heads["lpn"], heads["seq"],
-                                heads.view(np.uint8).reshape(-1, width),
-                                g.page_size)
-    # each head as an opaque item: one `bytes` of its 12 bytes
-    heads = heads.view(f"V{width}")
+    spares = oob.encode_head_spares(oob.TYPE_DATA, heads["lpn"], heads["seq"],
+                                    heads.view(np.uint8).reshape(-1, width),
+                                    g.page_size)
+    # each head as one `bytes` cut after its last non-zero byte (numpy
+    # drops an `S` item's trailing NULs): the stored form of its page, which
+    # the device keeps as given
+    heads = heads.view(f"S{width}").tolist()
     for i, (bank, block) in enumerate(occupied):
         rows = slice(i * ppb, (i + 1) * ppb)
-        device.program_block(bank, block, heads[rows].tolist(), spares[rows])
+        device.program_block(bank, block, heads[rows], spares[rows])
     if occupied:
         banks, blocks = np.array(occupied).T
         state.free_bits[banks, blocks] = False
@@ -315,7 +318,7 @@ def aged_read_check(eng, sample=64):
         got_lpn, got_seq = int(head["lpn"]), int(head["seq"])
         if got_lpn != lpn:
             raise AuditError(f"aged lpn {lpn} reads back {got_lpn}")
-        if decode_spare(spare, data) != (TYPE_DATA, lpn, got_seq):
+        if oob.decode_spare(spare, data) != (oob.TYPE_DATA, lpn, got_seq):
             raise AuditError(f"aged lpn {lpn} has a spare that does not "
                              f"decode to lpn {lpn} seq {got_seq}")
         checked += 1

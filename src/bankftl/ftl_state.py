@@ -22,8 +22,8 @@ drives that scheduler from one OS thread. audit() needs a quiescent engine.
 
 import numpy as np
 
+from . import oob
 from .errors import AddressError, AuditError, ExhaustionError
-from .oob import decode_spare
 
 UNMAPPED = 0x7FFFFFFF          # all-ones in 31 bits; every ppn stays below it
 
@@ -252,12 +252,17 @@ class FtlState:
         bucket_bits = [0] * g.num_banks
         occupied = np.flatnonzero(~(self.free_bits | self.bad_bits))
         banks, blocks = np.divmod(occupied, g.blocks_per_bank)
-        keys, group = np.unique(banks * width + self.valid_count[occupied],
-                                return_inverse=True)
-        members = np.zeros((keys.size, g.blocks_per_bank), dtype=bool)
-        members[group, blocks] = True
+        # one bucket per distinct (bank, count) key: sorted, a key starts a
+        # bucket where it differs from its left neighbour
+        keys = banks * width + self.valid_count[occupied]
+        order = keys.argsort()
+        keys = keys[order]
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        members = np.zeros((int(first.sum()), g.blocks_per_bank), dtype=bool)
+        members[first.cumsum() - 1, blocks[order]] = True
         packed = np.packbits(members, axis=1, bitorder="little")
-        for key, row in zip(keys.tolist(), packed):
+        for key, row in zip(keys[first].tolist(), packed):
             bank, count = divmod(key, width)
             buckets[bank][count] = int.from_bytes(row.tobytes(), "little")
             bucket_bits[bank] |= 1 << count
@@ -361,7 +366,8 @@ class FtlState:
         if mapped.size:
             if int(mapped.max()) >= g.total_pages:
                 problems.append("mapped ppn out of range")
-            if np.unique(mapped).size != mapped.size:
+            ordered = np.sort(mapped)
+            if (ordered[1:] == ordered[:-1]).any():
                 problems.append("map is not injective")
             blocks = mapped // g.pages_per_block
             pages = mapped % g.pages_per_block
@@ -375,7 +381,7 @@ class FtlState:
                 ppn = int(self.map[lpn])
                 addr = g.split_ppn(ppn)
                 _, spare, _ = device.read_page(addr, 0, 0, want_spare=True)
-                meta = decode_spare(spare)
+                meta = oob.decode_spare(spare)
                 if meta is None or meta[1] != lpn:
                     problems.append(f"spare lpn mismatch at ppn {ppn}")
                     break

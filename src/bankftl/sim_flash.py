@@ -26,23 +26,26 @@ block to all-ones and pages must be programmed strictly in order, never twice.
 A stored page is immutable, so the device keeps no CRC of its own: a torn
 page is caught by the data CRC in its spare (`oob.decode_spare`).
 
-A programmed page keeps only the bytes that carry data. A page whose last
-read unit has a non-zero byte past the unit's first `_HEAD` bytes is stored
-whole, as `bytes`; telling costs a dense page two compares, each stopping at
-the first non-zero byte it meets. A page stored whole that equals the
-previous page the device stored whole shares that page's `bytes` object,
-which one more compare tells: stored pages are never changed in place, and
-equal pages come in runs (the checkpoint chain of a mostly unmapped map, a
-fill pattern written page after page), so a run costs one page of memory.
-Any other page is stored as a tuple of pieces, each read unit's head (its
-first `_HEAD` bytes) then its tail (the rest), up to the last piece that
+A programmed page keeps only the bytes that carry data. A page that is all
+zero past its first read unit's first `_HEAD` bytes (its head) is stored as
+one short `bytes`: the page up to its last non-zero byte, empty for a zero
+page. A page whose last read unit has a non-zero byte past the unit's first
+`_HEAD` bytes is stored whole, as `bytes`; telling costs a dense page two
+compares, each stopping at the first non-zero byte it meets. A page stored
+whole that equals the previous page the device stored whole shares that
+page's `bytes` object, which one more compare tells: stored pages are never
+changed in place, and equal pages come in runs (the checkpoint chain of a
+mostly unmapped map, a fill pattern written page after page), so a run
+costs one page of memory. Any other page is stored as a tuple of pieces,
+each read unit's head then its tail (the rest), up to the last piece that
 holds data; a tail that is all zero is one shared zero run. One unpack
 takes every head, and one compare of the page against its heads joined by
-zero runs tells whether every tail is zero. Pieces cut off the end read
-back as zeros. A read joins only the pieces of its window; an image holds
-whole pages, and loading stores them by the same rule. So headers followed
-by zeros (aged pages, the benchmark's sectors) cost a few dozen bytes per
-read unit instead of a whole page, and every read returns the bytes written.
+zero runs tells whether every tail is zero. A read joins only the pieces of
+its window, and the bytes a short `bytes` or a cut tuple no longer holds
+read back as zeros; an image holds whole pages, and loading stores them by
+the same rule. So headers followed by zeros (aged pages, the benchmark's
+sectors) cost a few dozen bytes per read unit instead of a whole page, and
+every read returns the bytes written.
 
 A block's state is created the first time the block is programmed, erased,
 marked bad or loaded from an image; until then it reads as erased, with erase
@@ -66,9 +69,6 @@ from .errors import (AddressError, BadBlockError, ConfigurationError,
 # bytes kept at the start of a read unit stored sparse; the largest header the
 # simulator writes into a unit is the checkpoint chain's 30 bytes
 _HEAD = 64
-# zero runs of every length up to _HEAD, which pad a short head to a unit's
-# stored head
-_ZEROS = [bytes(n) for n in range(_HEAD + 1)]
 
 
 @dataclass(frozen=True)
@@ -329,7 +329,7 @@ class SimFlashDevice:
         """The stored form of page bytes `data` (see the module docstring)."""
         head, zero_tail = self._head, self._zero_tail
         if data.startswith(self._zero_rest, head):
-            return (data[:head],)
+            return data[:head].rstrip(b"\0")
         if not data.endswith(zero_tail):
             if data != self._last_whole:
                 self._last_whole = data
@@ -350,9 +350,11 @@ class SimFlashDevice:
     def _window(self, stored, offset, length):
         """`length` bytes of a stored page from `offset`, both unit-aligned."""
         if type(stored) is bytes:
-            return stored[offset:offset + length]
-        first = 2 * offset // self.geometry.read_unit
-        data = b"".join(stored[first:first + 2 * length // self.geometry.read_unit])
+            data = stored[offset:offset + length]
+        else:
+            first = 2 * offset // self.geometry.read_unit
+            data = b"".join(
+                stored[first:first + 2 * length // self.geometry.read_unit])
         return data if len(data) == length else data + self._zero_page[len(data):length]
 
     # ---- requests ------------------------------------------------------
@@ -443,7 +445,10 @@ class SimFlashDevice:
         its error and message. This is synthesis, not a device request: no
         bus, bank, queue or `now_us` clock moves and no request log row is
         written. It builds an aged card (`bench.inject_aging`), whose pages
-        are short heads, so each costs its head rather than a page; user IO
+        are short heads: a `bytes` head no longer than a read unit's stored
+        head is stored as itself, cut after its last non-zero byte, so a
+        head passed in that form is kept as given and costs no page; any
+        other head is stored through `_store` of its full page. User IO
         programs through `write_page`."""
         self._check_block(bank, block)
         blk = self._banks[bank][block]
@@ -460,15 +465,13 @@ class SimFlashDevice:
             raise AddressError("write payload must be one full page")
         if max(map(len, spares), default=0) > self.geometry.spare_per_page:
             raise AddressError("spare payload exceeds spare area")
-        # a `bytes` head that fits in a read unit's stored head, padded to
-        # it, is the page's whole stored form: `_store` of the page returns
-        # the same 1-tuple
-        short, zeros = self._head, _ZEROS
-        zero_page, store = self._zero_page, self._store
+        # a `bytes` head that fits in the first read unit's head, cut after
+        # its last non-zero byte, is the page's stored form: `_store` of the
+        # page returns the same short `bytes`
+        short, zero_page, store = self._head, self._zero_page, self._store
         blk = self._block(bank, block)
         blk.pages[:n] = [
-            (head + zeros[short - len(head)],)
-            if type(head) is bytes and len(head) <= short
+            head.rstrip(b"\0") if type(head) is bytes and len(head) <= short
             else store(bytes(head) + zero_page[len(head):]) for head in heads]
         blk.spares[:n] = [spare if type(spare) is bytes else bytes(spare)
                           for spare in spares]

@@ -7,6 +7,9 @@ import ast
 import random
 from pathlib import Path
 
+import pytest
+
+from bankftl.errors import AuditError
 from bankftl.gc_engine import GcLevel, GcPolicy
 from bankftl.io_engine import IoRequest
 
@@ -62,9 +65,14 @@ def hammer(eng, writers, writes_each, lpns, seed):
         eng.sched.join(actor)
 
 
+def hammer_engine(policy):
+    """A `tiny` engine on which `hammer` keeps collection busy."""
+    return tiny_engine(policy=policy, queues=16, buffers=4, export_ratio=0.6,
+                       levels=[GcLevel(6, 0), GcLevel(4, 2), GcLevel(2, 4)])
+
+
 def check_alloc_and_program_share_a_step(policy):
-    eng = tiny_engine(policy=policy, queues=16, buffers=4, export_ratio=0.6,
-                      levels=[GcLevel(6, 0), GcLevel(4, 2), GcLevel(2, 4)])
+    eng = hammer_engine(policy)
     pending, pairs = watch_alloc_program_steps(eng)
     hammer(eng, writers=24, writes_each=120, lpns=200, seed=7)
     eng.flush()
@@ -83,6 +91,24 @@ def test_pllgc_allocates_and_programs_in_one_step():
 
 def test_npgc_allocates_and_programs_in_one_step():
     check_alloc_and_program_share_a_step(GcPolicy(kind="NPGC"))
+
+
+@pytest.mark.xfail(strict=True, raises=AuditError, reason=(
+    "ROADMAP item 11: GC erases a block while a user page in it is in "
+    "flight, so the flush maps its LPN into an erased or reused page"))
+@pytest.mark.parametrize("policy,seed", [
+    (GcPolicy(kind="PLLGC", max_gc_threads=8), 2),
+    (GcPolicy(kind="NPGC"), 36),
+    (GcPolicy(kind="PLLGC_ADAPTIVE", max_gc_threads=8), 1)],
+    ids=["PLLGC-2", "NPGC-36", "PLLGC_ADAPTIVE-1"])
+def test_hammered_map_names_each_lpn_in_its_spare(policy, seed):
+    """The `hammer` workload at seeds where a collection races a user
+    program: after `flush`, the deep audit passes, which also requires
+    every mapped LPN's spare to decode to that LPN."""
+    eng = hammer_engine(policy)
+    hammer(eng, writers=24, writes_each=120, lpns=200, seed=seed)
+    eng.flush()
+    eng.audit(deep=True)
 
 
 def _os_thread_uses(tree):

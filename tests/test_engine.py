@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from bankftl import oob
 from bankftl.engine import Engine, EngineConfig
 from bankftl.errors import ConfigurationError, EngineStateError
+from bankftl.ftl_state import UNMAPPED
 from bankftl.gc_engine import GcLevel, GcPolicy
 from bankftl.io_engine import EngineParams, IoRequest
 
@@ -330,6 +332,36 @@ def test_concurrent_clients_read_their_own_writes():
             eng.sched.join(actor)
         eng.shutdown(clean=True)
     assert stale == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 1: an evicted page is unfindable while it is programmed, "
+    "so a read of its LPN from another queue returns the old mapping"))
+def test_a_read_while_its_evicted_page_is_programmed_returns_the_write():
+    """The shrunk case of a state-machine search: with 2 buffers, writing
+    LPN 4 after LPNs 13 and 0 evicts LPN 13's page. A read of LPN 13 from
+    another queue while that page is being programmed must return the
+    sector written, not zeros."""
+    eng = tiny_engine(queues=4, buffers=2)
+    data = {lpn: sector_payload(("evicted", lpn), SECTOR) for lpn in (13, 0, 4)}
+    eng.write_sector(13 * SPP, data[13])
+    eng.write_sector(0, data[0])
+    read = IoRequest("read", 13 * SPP)
+    program, in_flight = eng.device.write_page, []
+
+    def write_page(addr, page, spare=b"", submit_us=None):
+        # submitted in the step that programs LPN 13's page, so it is served
+        # before that program completes
+        if not in_flight and oob.decode_spare(spare, page)[1] == 13:
+            in_flight.append(eng.state.map_lookup(13))
+            eng.submit(read)
+        return program(addr, page, spare, submit_us)
+
+    eng.device.write_page = write_page
+    eng.write_sector(4 * SPP, data[4])
+    eng.pump(read.done)
+    assert read.error is None and in_flight == [UNMAPPED]
+    assert read.result == data[13]
 
 
 # ---- engine construction leaves the caller's objects alone --------------------

@@ -3,9 +3,13 @@ import pickle
 import random
 import re
 import struct
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bankftl.engine import Engine, EngineConfig
 from bankftl.errors import (AddressError, BadBlockError, ConfigurationError,
@@ -926,6 +930,61 @@ def test_header_pages_are_stored_in_a_few_bytes_per_unit():
 def stored(dev, addr):
     """The device's stored form of a programmed page."""
     return dev._banks[addr.bank][addr.block].pages[addr.page]
+
+
+def head_pages(g):
+    """Lists of pages of profile `g`, each a head of 0 to page-size bytes
+    followed by zeros: heads around a read unit's stored head and around
+    the unit and page ends, some of them ending in zero bytes."""
+    ends = sorted({0, 1, 11, 12, 63, 64, 65, g.read_unit, g.read_unit + 64,
+                   g.page_size - 1, g.page_size})
+    def head(size, zeros, seed):
+        zeros = min(zeros, size)
+        return random.Random(seed).randbytes(size - zeros) + bytes(zeros)
+
+    return st.lists(st.builds(head,
+                              st.sampled_from(ends) | st.integers(0, g.page_size),
+                              st.integers(0, 3), st.integers(0, 2**32 - 1)),
+                    min_size=1, max_size=6)
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_heads_followed_by_zeros_are_stored_short_and_read_back(profile):
+    g = PROFILES[profile]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(head_pages(g), st.integers(0, 2**32 - 1))
+    def check(heads, seed):
+        rng = random.Random(seed)
+        spares = [rng.randbytes(rng.randrange(g.spare_per_page + 1))
+                  for _ in heads]
+        pages = [head + bytes(g.page_size - len(head)) for head in heads]
+        looped, synth = SimFlashDevice(g), SimFlashDevice(g)
+        for p, (page, spare) in enumerate(zip(pages, spares)):
+            looped.write_page(PageAddress(1, 2, p), page, spare)
+        synth.program_block(1, 2, heads, spares)
+        addrs = [PageAddress(1, 2, p) for p in range(len(heads))]
+        forms = [stored(synth, a) for a in addrs]
+        assert forms == [stored(looped, a) for a in addrs]
+        assert ([type(f) for f in forms]
+                == [type(stored(looped, a)) for a in addrs])
+        for page, form in zip(pages, forms):
+            short = page[:synth._head].rstrip(b"\0")
+            if page.startswith(short + bytes(g.page_size - len(short))):
+                assert type(form) is bytes and form == short
+                assert len(form) <= synth._head and not form.endswith(b"\0")
+        written = dict(zip(addrs, zip(pages, spares)))
+        assert_reads_back(synth, written)
+        with tempfile.TemporaryDirectory() as tmp:
+            saved, again = Path(tmp) / "f.img", Path(tmp) / "g.img"
+            synth.save_image(saved)
+            copy = SimFlashDevice.load_image(saved)
+            copy.save_image(again)
+            assert again.read_bytes() == saved.read_bytes()
+        assert [stored(copy, a) for a in addrs] == forms
+        assert_reads_back(copy, written)
+
+    check()
 
 
 def test_equal_whole_pages_in_a_row_share_one_stored_page():

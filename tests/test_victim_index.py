@@ -6,7 +6,11 @@ the bank's occupied blocks other than its open block, those at or below the
 level's valid threshold, the fewest valid pages, ties to the lowest block.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,3 +255,93 @@ def test_every_answer_of_a_run_matches_the_rule(kind):
     answers, victims = checked_run(kind, seed=5)
     assert victims > 0
     assert answers > victims
+
+
+# ---- the index and the injectivity check against np.unique ----------------
+
+def unique_index(state):
+    """The victim index as built with `np.unique`: the reference for the
+    sort-and-compare build in `FtlState._index_from_arrays`."""
+    g = state.geometry
+    width = g.pages_per_block + 1
+    buckets = [[0] * width for _ in range(g.num_banks)]
+    bucket_bits = [0] * g.num_banks
+    occupied = np.flatnonzero(~(state.free_bits | state.bad_bits))
+    banks, blocks = np.divmod(occupied, g.blocks_per_bank)
+    keys, group = np.unique(banks * width + state.valid_count[occupied],
+                            return_inverse=True)
+    members = np.zeros((keys.size, g.blocks_per_bank), dtype=bool)
+    members[group, blocks] = True
+    packed = np.packbits(members, axis=1, bitorder="little")
+    for key, row in zip(keys.tolist(), packed):
+        bank, count = divmod(key, width)
+        buckets[bank][count] = int.from_bytes(row.tobytes(), "little")
+        bucket_bits[bank] |= 1 << count
+    return buckets, bucket_bits
+
+
+def audit_finds_map_injective(state):
+    try:
+        state.audit()
+    except AuditError as exc:
+        return "map is not injective" not in str(exc)
+    return True
+
+
+def occupancy_case(case, rng):
+    g = PROFILES["desk8"]
+    state = FtlState(g, 8, 0.875, bad_blocks=[(2, 5), (7, 63)])
+    occupied = {"none": np.zeros(g.total_blocks, dtype=bool),
+                "one": np.arange(g.total_blocks) == 77,
+                "every": np.ones(g.total_blocks, dtype=bool)}.get(case)
+    if occupied is None:
+        occupied = np.array([rng.random() < 0.6 for _ in range(g.total_blocks)])
+    state.free_bits[:] = ~occupied.reshape(state.free_bits.shape)
+    state.free_bits[state.bad_bits] = False
+    state.valid_count[:] = [rng.randrange(g.pages_per_block + 1)
+                            for _ in range(g.total_blocks)]
+    ppns = rng.sample(range(g.total_pages), 500)
+    if case == "duplicate":
+        ppns[rng.randrange(1, 500)] = ppns[0]
+    state.map[rng.sample(range(state.num_lpns), 500)] = ppns
+    state.recount()
+    return state
+
+
+@pytest.mark.parametrize("case", ["none", "one", "every", "random",
+                                  "duplicate"])
+def test_index_and_injectivity_equal_the_unique_reference(case):
+    rng = random.Random(case)
+    for _ in range(3):
+        state = occupancy_case(case, rng)
+        assert (state.buckets, state.bucket_bits) == unique_index(state)
+        mapped = state.map[state.map != UNMAPPED]
+        assert audit_finds_map_injective(state) == (
+            np.unique(mapped).size == mapped.size)
+        assert audit_finds_map_injective(state) == (case != "duplicate")
+        if case == "every":
+            assert sum(map(int.bit_count, state.bucket_bits)) > 8
+
+
+AGE_AND_AUDIT = """
+import sys
+from bankftl import bench
+from bankftl.engine import Engine, EngineConfig
+for name in ("npgc-vs-pllgc", "adaptive-vs-pllgc"):
+    eng = Engine.start(EngineConfig(profile="desk8"))
+    bench.inject_aging(eng, bench.preset(name, seed=1).aging)
+    eng.state.recount()
+    eng.state.audit()
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+
+
+def test_aging_recount_and_audit_do_not_import_numpy_ma():
+    """`numpy.ma` costs a card's start about 10 ms on import and nothing in
+    the engine uses it, so aging, the victim index and the audit keep out
+    of it (`np.unique` imports it)."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", AGE_AND_AUDIT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
