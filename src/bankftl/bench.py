@@ -19,8 +19,9 @@ each occupied block's heads and spares are programmed in one
 stored form of its page. The tables are filled with array assignments,
 then the device clocks are rebased so the synthesis costs no simulated
 time. A spec that cannot be aged as asked raises ConfigurationError before
-any page is written. `aged_read_check` reads a sample of aged pages back
-and checks each one's head and spare.
+any page is written. `aged_read_check` looks a sample of aged pages up
+with `SimFlashDevice.peek_page`, which moves no clock, and checks each
+one's head and spare.
 """
 
 import json
@@ -312,8 +313,7 @@ def aged_read_check(eng, sample=64):
     step = max(1, mapped.size // sample)
     checked = 0
     for lpn in (int(x) for x in mapped[::step]):
-        data, spare, _ = eng.device.read_page(g.split_ppn(int(state.map[lpn])),
-                                              want_spare=True)
+        data, spare = eng.device.peek_page(g.split_ppn(int(state.map[lpn])))
         head = np.frombuffer(data, dtype=_AGED_HEAD, count=1)[0]
         got_lpn, got_seq = int(head["lpn"]), int(head["seq"])
         if got_lpn != lpn:

@@ -179,8 +179,7 @@ class Checkpointer:
             lambda: state.alloc_page_in_bank(bank))
         if not moved:
             raise CheckpointError(f"bank {bank} too full to relocate")
-        desc = self.device.erase_block(bank, block, submit_us=self.sched.now)
-        yield desc.complete_us - self.sched.now
+        yield self.device.erase_block(bank, block, submit_us=self.sched.now)
         state.release_block(bank, block)
 
     # ---- save ---------------------------------------------------------------
@@ -231,10 +230,9 @@ class Checkpointer:
                 page = blob[page_idx * g.page_size:(page_idx + 1) * g.page_size]
                 page = page + b"\x00" * (g.page_size - len(page))
                 spare = oob.encode_spare(oob.TYPE_CHECKPOINT, oob.LPN_NONE, seq, page)
-                desc = self.device.write_page(
+                yield self.device.write_page(
                     PageAddress(cbank, cblock, page_idx), page, spare,
                     submit_us=self.sched.now)
-                yield desc.complete_us - self.sched.now
         return head_bank, head_block, relocations
 
     # ---- load ----------------------------------------------------------------
@@ -242,28 +240,28 @@ class Checkpointer:
     def _read_block_blob(self, bank, block, pages):
         parts = []
         for page in range(pages):
-            data, _, desc = self.device.read_page(
+            data, _, wait = self.device.read_page(
                 PageAddress(bank, block, page), submit_us=self.sched.now)
             self.chain_reads += 1
-            yield desc.complete_us - self.sched.now
+            yield wait
             parts.append(data)
         return b"".join(parts)
 
     def _probe_bank(self, bank, heads):
         g = self.device.geometry
         for block in window_blocks(g, self.k):
-            _, spare, desc = self.device.read_page(
+            _, spare, wait = self.device.read_page(
                 PageAddress(bank, block, 0), 0, 0, want_spare=True,
                 submit_us=self.sched.now)
             self.window_probes += 1
-            yield desc.complete_us - self.sched.now
+            yield wait
             meta = oob.decode_spare(spare)
             if meta is None or meta[0] != oob.TYPE_CHECKPOINT:
                 continue
-            data, _, desc = self.device.read_page(
+            data, _, wait = self.device.read_page(
                 PageAddress(bank, block, 0), submit_us=self.sched.now)
             self.chain_reads += 1
-            yield desc.complete_us - self.sched.now
+            yield wait
             hdr = self._parse_header(data)
             if hdr is not None and hdr["chain_index"] == 0:
                 heads.append((meta[2], bank, block, hdr, data))
@@ -318,10 +316,10 @@ class Checkpointer:
             nb, nblk = hdr["next"]
             if nb < 0:
                 break
-            data, _, desc = self.device.read_page(
+            data, _, wait = self.device.read_page(
                 PageAddress(nb, nblk, 0), submit_us=self.sched.now)
             self.chain_reads += 1
-            yield desc.complete_us - self.sched.now
+            yield wait
             hdr = self._parse_header(data)
             if hdr is None:
                 ok = False
@@ -336,8 +334,7 @@ class Checkpointer:
         self.state.sequence_floor(seq)
         # consume every discovered head so stale chains cannot be re-found
         for hseq, hbank, hblock, _, _ in heads:
-            desc = self.device.erase_block(hbank, hblock, submit_us=self.sched.now)
-            yield desc.complete_us - self.sched.now
+            yield self.device.erase_block(hbank, hblock, submit_us=self.sched.now)
             self.state.release_block(hbank, hblock)
         return True
 
@@ -358,10 +355,10 @@ class Checkpointer:
             first = True
             block_type = None
             for page in range(pages_per_block):
-                data, spare, desc = read_page((bank, block, page), want_spare=True,
+                data, spare, wait = read_page((bank, block, page), want_spare=True,
                                               submit_us=sched.now)
                 self.scan_reads += 1
-                yield desc.complete_us - sched.now
+                yield wait
                 if spare == erased_spare and data == erased_page:
                     if first:
                         free_blocks_out.append((bank, block))
@@ -450,9 +447,8 @@ class Checkpointer:
             # fully-stale blocks, lowest block number first
             while (block := state.min_valid_block(bank, 0)) is not None:
                 if self.device.written_prefix(bank, block):
-                    desc = self.device.erase_block(bank, block,
-                                                   submit_us=self.sched.now)
-                    yield desc.complete_us - self.sched.now
+                    yield self.device.erase_block(bank, block,
+                                                  submit_us=self.sched.now)
                 state.release_block(bank, block)
         repaired = 0
         for bank in range(g.num_banks):
@@ -464,17 +460,15 @@ class Checkpointer:
                 if block is None:
                     break                      # bank is wholly live: nothing to free
                 if state.valid_count[bank * g.blocks_per_bank + block] == 0:
-                    desc = self.device.erase_block(bank, block,
-                                                   submit_us=self.sched.now)
-                    yield desc.complete_us - self.sched.now
+                    yield self.device.erase_block(bank, block,
+                                                  submit_us=self.sched.now)
                     state.release_block(bank, block)
                     repaired += 1
                     continue
                 done = yield from self._relocate_anywhere(bank, block)
                 if done:
-                    desc = self.device.erase_block(bank, block,
-                                                   submit_us=self.sched.now)
-                    yield desc.complete_us - self.sched.now
+                    yield self.device.erase_block(bank, block,
+                                                  submit_us=self.sched.now)
                     state.release_block(bank, block)
                     repaired += 1
                 else:
@@ -518,21 +512,19 @@ class Checkpointer:
             if not state.valid_bits[gblock, page]:
                 continue
             old_ppn = g.ppn(bank, block, page)
-            data, spare, desc = self.device.read_page(
+            data, spare, wait = self.device.read_page(
                 g.split_ppn(old_ppn), want_spare=True, submit_us=self.sched.now)
-            yield desc.complete_us - self.sched.now
+            yield wait
             meta = oob.decode_spare(spare, data)
             if meta is not None:
                 live.append((meta[1], meta[2], data))
             state.mark_invalid(old_ppn)
-        desc = self.device.erase_block(bank, block, submit_us=self.sched.now)
-        yield desc.complete_us - self.sched.now
+        yield self.device.erase_block(bank, block, submit_us=self.sched.now)
         for i, (lpn, seq, data) in enumerate(live):
             spare = oob.encode_spare(oob.TYPE_DATA, lpn, seq, data)
-            wdesc = self.device.write_page(
+            yield self.device.write_page(
                 PageAddress(bank, block, i), data, spare,
                 submit_us=self.sched.now)
-            yield wdesc.complete_us - self.sched.now
             new_ppn = g.ppn(bank, block, i)
             state.map_update_locked(lpn, new_ppn)
             state.mark_valid(new_ppn)

@@ -377,10 +377,11 @@ class FtlState:
             problems.append(
                 f"{int(self.valid_count.sum())} valid pages vs {mapped.size} mapped lpns")
         if device is not None:
+            # a peek, not a request: the audit moves no device clock
             for lpn in np.flatnonzero(self.map != UNMAPPED):
                 ppn = int(self.map[lpn])
                 addr = g.split_ppn(ppn)
-                _, spare, _ = device.read_page(addr, 0, 0, want_spare=True)
+                _, spare = device.peek_page(addr, 0, 0)
                 meta = oob.decode_spare(spare)
                 if meta is None or meta[1] != lpn:
                     problems.append(f"spare lpn mismatch at ppn {ppn}")

@@ -51,9 +51,9 @@ def move_live_pages(sched, device, state, bank, block, alloc, cores=None,
         if not state.valid_bits[gblock, page]:
             continue
         old_ppn = g.ppn(bank, block, page)
-        data, spare, desc = device.read_page(
+        data, spare, wait = device.read_page(
             g.split_ppn(old_ppn), want_spare=True, submit_us=sched.now)
-        yield desc.complete_us - sched.now
+        yield wait
         meta = oob.decode_spare(spare, data)
         if meta is None:
             continue
@@ -68,9 +68,8 @@ def move_live_pages(sched, device, state, bank, block, alloc, cores=None,
         new_ppn = alloc()
         if new_ppn is None:
             return False
-        wdesc = device.write_page(g.split_ppn(new_ppn), data, new_spare,
-                                  submit_us=sched.now)
-        yield wdesc.complete_us - sched.now
+        yield device.write_page(g.split_ppn(new_ppn), data, new_spare,
+                                submit_us=sched.now)
         if cores:
             yield cores.charge(copy_cpu_us)
         won = state.map_update_if(lpn, old_ppn, new_ppn)
@@ -250,8 +249,7 @@ class GcController:
         elif int(state.valid_count[gblock]) == 0:
             if self.cores:
                 yield self.cores.charge(self.policy.round_cpu_us)
-            desc = self.device.erase_block(bank, block, submit_us=self.sched.now)
-            yield desc.complete_us - self.sched.now
+            yield self.device.erase_block(bank, block, submit_us=self.sched.now)
             state.release_block(bank, block)
             self.stats.erases_performed += 1
             self.stats.blocks_collected += 1

@@ -82,14 +82,13 @@ class IoRequest(Event):
     completed request holds no reference to itself and is freed as soon as
     its last holder drops it. A request is submitted once."""
 
-    __slots__ = ("kind", "lsn", "data", "submit_us", "result", "error")
+    __slots__ = ("kind", "lsn", "data", "result", "error")
 
     def __init__(self, kind, lsn, data=b""):
         Event.__init__(self, None)        # bound to a scheduler by submit
         self.kind = kind
         self.lsn = lsn
         self.data = data
-        self.submit_us = None
         self.result = None
         self.error = None
 
@@ -178,7 +177,6 @@ class IoEngine:
 
     def _enqueue(self, req, qi):
         req._sched = self.sched
-        req.submit_us = self.sched.now
         self.queues[qi].append(req)
         wake = self._wake[qi]
         if wake is not None:
@@ -375,9 +373,9 @@ class IoEngine:
             if ppn == UNMAPPED:
                 return None
             addr = self.device.geometry.split_ppn(ppn)
-            data, _, desc = self.device.read_page(
+            data, _, wait = self.device.read_page(
                 addr, offset, length, submit_us=self.sched.now)
-            yield desc.complete_us - self.sched.now
+            yield wait
             if self.state.map_lookup(lpn) == ppn:
                 return data
         raise ExhaustionError(f"lpn {lpn} kept moving during read")
@@ -475,9 +473,8 @@ class IoEngine:
                 yield 1                          # racer drained the bank
                 continue
             info.writers_active += 1
-            desc = self.device.write_page(
+            yield self.device.write_page(
                 g.split_ppn(ppn), data, spare, submit_us=self.sched.now)
-            yield desc.complete_us - self.sched.now
             info.writers_active -= 1
             return ppn
 

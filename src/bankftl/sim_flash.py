@@ -4,18 +4,24 @@ Models the raw card the FTL drives: interfaces (channels) of banks, blocks of
 sequentially-programmable pages with spare bytes, one bus per interface, one
 read queue per two consecutive banks, and a configurable latency model.
 `write_page`, `read_page` and `erase_block` are the one request path: each
-acts at once and returns a completion descriptor charged on virtual clocks.
-A page address is unpacked as a `(bank, block, page)` 3-tuple, so a
-`PageAddress` and a plain tuple make the same request. `program_block` is
-not a request: it synthesizes an erased block's pages for an aged card from
-each page's head (the zeros after it are implied), stored and counted as
-`write_page` would store and count the full pages, and moves no clock. A
-rejected request or synthesis changes nothing, not even an untouched
-block's record. Once checked, a
-request is charged by `_service` on plain ints, which looks each bank's
-interface and read queue up in tables built with the device. A request
-first occupies its interface's bus (a read also its read queue) for a
-transfer slice, then its bank for an execution slice, so requests on
+acts at once, is charged on virtual clocks from its caller's `submit_us`, and
+returns its wait, the microseconds from `submit_us` to its completion, for
+the caller to yield (`read_page` returns it after the data and spare). The
+submit time is the caller's, so actors on different schedulers can share one
+device. `request_log`, when enabled, records each request's id, submit and
+completion times. A page address is unpacked as a `(bank, block, page)`
+3-tuple, so a `PageAddress` and a plain tuple make the same request.
+`peek_page` and `program_block` are not requests and move no clock, counter
+or log: `peek_page` returns what a `read_page` of the same window would, for
+checks that must not move the model they check, and `program_block`
+synthesizes an erased block's pages for an aged card from each page's head
+(the zeros after it are implied), stored and counted as `write_page` would
+store and count the full pages. A rejected request or synthesis changes
+nothing, not even an untouched block's record. Once checked, a request is
+charged by `_service` on plain ints: each bank's interface comes from a
+table built with the device, and banks 2i and 2i+1 share read queue i. A
+request first occupies its interface's bus (a read also its read queue) for
+a transfer slice, then its bank for an execution slice, so requests on
 different banks overlap while requests sharing a bus, read queue or bank
 serialize, and can complete out of submission order. A read queue's wait
 binds only when its two banks sit on different interfaces (an odd
@@ -165,17 +171,6 @@ class LatencyModel:
         return self
 
 
-@dataclass(slots=True)
-class CompletionDescriptor:
-    request_id: int
-    submit_us: int
-    complete_us: int
-
-    @property
-    def service_latency(self):
-        return self.complete_us - self.submit_us
-
-
 @dataclass
 class DeviceStats:
     pages_written: int = 0
@@ -202,13 +197,6 @@ class _Block:
         self.wear_flagged = False
         self.pages = [None] * pages_per_block
         self.spares = [None] * pages_per_block
-
-
-class _Queue:
-    __slots__ = ("free_at",)
-
-    def __init__(self):
-        self.free_at = 0
 
 
 class SimFlashDevice:
@@ -241,23 +229,20 @@ class SimFlashDevice:
         for bank, block in bad_blocks:
             self._check_block(bank, block)
             self._mark_bad(bank, block)
-        # one read queue per two consecutive banks; with an odd
-        # banks_per_interface the two banks sit on different interfaces
-        self.read_queues = [_Queue() for _ in range((g.num_banks + 1) // 2)]
-        # the request path's tables (_service): each bank's interface and
-        # read queue, and each kind's transfer and execution slices
+        # the request path's tables (_service): each bank's interface, and
+        # each kind's transfer and execution slices
         self._bank_itf = [bank // g.banks_per_interface
                           for bank in range(g.num_banks)]
-        self._bank_queue = [self.read_queues[bank // 2]
-                            for bank in range(g.num_banks)]
         m = self.model
         self._slices = {
             kind: (transfer, total - transfer) for kind, transfer, total in (
                 ("write", m.write_transfer_us, m.write_page_us),
                 ("erase", m.erase_transfer_us, m.erase_block_us),
                 ("read", m.read_transfer_us, m.read_unit_us))}
-        # every transfer occupies its interface's bus
+        # every transfer occupies its interface's bus; a read queue's two
+        # banks sit on different interfaces when banks_per_interface is odd
         self.bus_free_at = [0] * g.num_interfaces
+        self.read_queue_free_at = [0] * ((g.num_banks + 1) // 2)
         self.bank_free_at = [0] * g.num_banks
         self.now_us = 0
         self._next_req_id = 0
@@ -290,7 +275,7 @@ class SimFlashDevice:
 
     def _service(self, kind, bank, block, page, submit_us, units=1):
         """Charge an accepted request on the virtual clocks, log it and
-        return its completion descriptor."""
+        return its wait: its completion time less `submit_us`."""
         now = self.now_us
         if submit_us is None:
             submit_us = now
@@ -300,12 +285,12 @@ class SimFlashDevice:
             start = submit_us
         transfer, execute = self._slices[kind]
         if kind == "read":
-            q = self._bank_queue[bank]
-            if start < q.free_at:
-                start = q.free_at
+            queue = bank >> 1
+            if start < self.read_queue_free_at[queue]:
+                start = self.read_queue_free_at[queue]
             transfer *= units
             execute *= units
-            q.free_at = start + transfer
+            self.read_queue_free_at[queue] = start + transfer
         start += transfer
         self.bus_free_at[itf] = start
         done = self.bank_free_at[bank]
@@ -321,7 +306,7 @@ class SimFlashDevice:
         if self.request_log is not None:
             self.request_log.append(
                 (rid, kind, bank, block, page, submit_us, done))
-        return CompletionDescriptor(rid, submit_us, done)
+        return done - submit_us
 
     # ---- stored-page form -------------------------------------------------
 
@@ -386,8 +371,10 @@ class SimFlashDevice:
         self._stats.pages_written += 1
         return self._service("write", bank, block, page, submit_us)
 
-    def read_page(self, addr, offset=0, length=None, want_spare=False,
-                  submit_us=None):
+    def peek_page(self, addr, offset=0, length=None):
+        """The data and full spare a `read_page` of the same window returns,
+        looked up with no request: no clock, counter or log row moves. For
+        checks that must leave the card's timing as they found it."""
         bank, block, page = addr
         if not (0 <= bank < self._num_banks and 0 <= block < self._blocks_per_bank
                 and 0 <= page < self._pages_per_block):
@@ -403,18 +390,21 @@ class SimFlashDevice:
         blk = self._banks[bank][block]
         stored = None if blk is None else blk.pages[page]
         if stored is None:
-            data = self.erased_page[:length]
-            spare = self.erased_spare
-        else:
-            data = self._window(stored, offset, length)
-            raw = blk.spares[page]
-            spare = raw + self.erased_spare[len(raw):]
-        units = length // unit or 1
+            return self.erased_page[:length], self.erased_spare
+        raw = blk.spares[page]
+        return (self._window(stored, offset, length),
+                raw + self.erased_spare[len(raw):])
+
+    def read_page(self, addr, offset=0, length=None, want_spare=False,
+                  submit_us=None):
+        data, spare = self.peek_page(addr, offset, length)
+        units = len(data) // self._read_unit or 1
         stats = self._stats
         stats.read_ops += 1
         stats.read_units += units
-        desc = self._service("read", bank, block, page, submit_us, units)
-        return data, (spare if want_spare else b""), desc
+        bank, block, page = addr
+        wait = self._service("read", bank, block, page, submit_us, units)
+        return data, (spare if want_spare else b""), wait
 
     def erase_block(self, bank, block, submit_us=None):
         self._check_block(bank, block)
@@ -509,8 +499,7 @@ class SimFlashDevice:
     def reset_clocks(self, now_us=0):
         """Rebase queue/bank virtual clocks (after synthetic state injection,
         which writes pages without simulating elapsed time)."""
-        for q in self.read_queues:
-            q.free_at = now_us
+        self.read_queue_free_at = [now_us] * len(self.read_queue_free_at)
         self.bank_free_at = [now_us] * self.geometry.num_banks
         self.bus_free_at = [now_us] * self.geometry.num_interfaces
         self.now_us = now_us

@@ -191,3 +191,24 @@ def test_only_aging_synthesizes_blocks():
                     and node.attr == "program_block"):
                 callers.add(path.name)
     assert callers == {"bench.py"}
+
+
+def test_every_device_request_is_timed_on_its_callers_scheduler():
+    """Every `write_page`, `read_page` and `erase_block` call in `src` passes
+    `submit_us=`, so its wait runs from its caller's scheduler clock. A
+    check that must not move the model looks pages up with `peek_page`."""
+    requests = ("write_page", "read_page", "erase_block")
+    seen, untimed = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            if name in requests:
+                seen.add(name)
+                if not any(k.arg == "submit_us" for k in node.keywords):
+                    untimed.append(f"{path.name}:{node.lineno} {name}")
+    assert seen == set(requests)
+    assert untimed == []

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from bankftl import oob
+from bankftl.bench import AgingSpec, aged_read_check, inject_aging
 from bankftl.engine import Engine, EngineConfig
 from bankftl.errors import ConfigurationError, EngineStateError
 from bankftl.ftl_state import UNMAPPED
@@ -219,6 +220,52 @@ def test_stats_match_shadow_replay(engine):
     writes = sum(1 for row in eng.device.request_log if row[1] == "write")
     assert stats["device"]["pages_written"] == writes
     assert stats["io"]["user_sectors_written"] == 6 * SPP
+
+
+def device_timing(dev):
+    return (dev.device_stats(), dev.now_us, list(dev.bus_free_at),
+            list(dev.read_queue_free_at), list(dev.bank_free_at))
+
+
+def write_lpns(eng):
+    for lpn in range(50):
+        eng.write_sector(lpn * SPP, sector_payload(("before", lpn), SECTOR))
+    eng.flush()
+
+
+def age(eng):
+    inject_aging(eng, AgingSpec(free_mean=8, free_spread=2, free_min=2,
+                                valid_mean=3, valid_spread=2, valid_max=6,
+                                seed=9))
+
+
+# a setup, then a check of what it left that must find something to check
+CHECKS = {
+    "deep audit": (write_lpns, lambda eng: eng.audit(deep=True)["mapped"]),
+    "aged read check": (age, lambda eng: aged_read_check(eng, sample=32)),
+}
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_a_check_leaves_the_device_and_the_next_run_as_it_found_them(check):
+    """A deep audit and `aged_read_check` look pages up with `peek_page`:
+    no device counter or clock moves, so a run after the check ends at the
+    virtual time it ends at without it."""
+    setup, run_check = CHECKS[check]
+    ends = []
+    for checked in (False, True):
+        eng = tiny_engine()
+        setup(eng)
+        before = device_timing(eng.device)
+        if checked:
+            assert run_check(eng) > 0
+            assert device_timing(eng.device) == before
+        for i in range(200):
+            eng.write_sector((i % 60) * SPP + 1, sector_payload(i, SECTOR))
+        eng.flush()
+        ends.append((eng.sched.now, device_timing(eng.device)))
+        eng.abort()
+    assert ends[0] == ends[1]
 
 
 def test_deterministic_restart_cycle(tmp_path):

@@ -815,7 +815,7 @@ def test_write_run_serves_nothing_on_a_miss_or_a_busy_worker():
     def client():
         miss = io.write_run(5 * SPP, data * 2)           # no buffer for LPN 5
         assert (miss.kind, miss.lsn, bytes(miss.data)) == ("write", 5 * SPP, data)
-        assert miss.submit_us == eng.sched.now and list(io.queues[0]) == [miss]
+        assert list(io.queues[0]) == [miss]
         yield miss
         assert io.write_run(5 * SPP + 1, data * 2) is None
         first = io.submit(IoRequest("read", 5 * SPP))

@@ -32,7 +32,7 @@ def test_full_card_queue_layout():
     dev = SimFlashDevice(PROFILES["card512"])
     assert dev.geometry.num_banks == 64
     assert len(dev.bus_free_at) == 4
-    assert len(dev.read_queues) == 32
+    assert len(dev.read_queue_free_at) == 32
 
 
 def test_fresh_device_erased_and_unflagged():
@@ -97,9 +97,9 @@ def test_read_single_unit_window():
     dev = tiny_device()
     payload = b"".join(bytes([i]) * TINY.read_unit for i in range(TINY.sectors_per_page))
     dev.write_page(PageAddress(0, 1, 0), payload)
-    data, _, desc = dev.read_page(PageAddress(0, 1, 0), 0, TINY.read_unit)
+    data, _, wait = dev.read_page(PageAddress(0, 1, 0), 0, TINY.read_unit)
     assert data == bytes([0]) * TINY.read_unit
-    assert desc.service_latency == LatencyModel().read_unit_us
+    assert wait == LatencyModel().read_unit_us
     data, _, _ = dev.read_page(PageAddress(0, 1, 0), TINY.read_unit, TINY.read_unit)
     assert data == bytes([1]) * TINY.read_unit
 
@@ -130,21 +130,22 @@ def test_wear_limit_flags_but_allows():
 
 def test_dma_parallel_banks_overlap():
     dev = tiny_device()
+    dev.enable_request_log()
     single = LatencyModel().write_page_us
     # banks 0 and 2 sit on different interfaces in the tiny profile
-    d1 = dev.write_page(PageAddress(0, 0, 0), page_of(1), submit_us=0)
-    d2 = dev.write_page(PageAddress(2, 0, 0), page_of(2), submit_us=0)
-    assert d1.request_id != d2.request_id
-    assert d1.complete_us == d2.complete_us == single
+    w1 = dev.write_page(PageAddress(0, 0, 0), page_of(1), submit_us=0)
+    w2 = dev.write_page(PageAddress(2, 0, 0), page_of(2), submit_us=0)
+    assert [row[0] for row in dev.request_log] == [0, 1]
+    assert w1 == w2 == single
 
 
 def test_dma_same_bank_serializes():
     dev = tiny_device()
     m = LatencyModel()
     dev.write_page(PageAddress(0, 0, 0), page_of(1), submit_us=0)
-    d = dev.write_page(PageAddress(0, 0, 1), page_of(2), submit_us=0)
+    wait = dev.write_page(PageAddress(0, 0, 1), page_of(2), submit_us=0)
     # executions on one bank serialize; only the transfer slice pipelines
-    assert d.complete_us == 2 * m.write_page_us - m.write_transfer_us
+    assert wait == 2 * m.write_page_us - m.write_transfer_us
 
 
 def test_queues_of_one_interface_share_its_bus():
@@ -152,8 +153,8 @@ def test_queues_of_one_interface_share_its_bus():
     m = LatencyModel()
     # banks 0 and 1: interface 0, separate write and erase queues
     dev.write_page(PageAddress(0, 0, 0), page_of(1), submit_us=0)
-    d = dev.erase_block(1, 0, submit_us=0)
-    assert d.complete_us == m.write_transfer_us + m.erase_block_us
+    wait = dev.erase_block(1, 0, submit_us=0)
+    assert wait == m.write_transfer_us + m.erase_block_us
 
 
 def test_read_queue_serializes_banks_on_two_interfaces():
@@ -163,21 +164,21 @@ def test_read_queue_serializes_banks_on_two_interfaces():
     m = LatencyModel()
     first = dev.read_page(PageAddress(0, 0, 0), length=256, submit_us=0)[2]
     second = dev.read_page(PageAddress(1, 0, 0), length=256, submit_us=0)[2]
-    assert first.complete_us == m.read_unit_us
-    assert second.complete_us == m.read_transfer_us + m.read_unit_us
+    assert first == m.read_unit_us
+    assert second == m.read_transfer_us + m.read_unit_us
 
 
 def test_parallel_speedup_property():
     model = LatencyModel()
     for banks in (2, 4):
         dev = SimFlashDevice(PROFILES["desk8"])
-        descs = []
+        waits = []
         for b in range(banks):
             bank = b * dev.geometry.banks_per_interface  # distinct interfaces
-            d = dev.write_page(PageAddress(bank, 0, 0),
-                               b"\x05" * dev.geometry.page_size, submit_us=0)
-            descs.append(d)
-        total = max(d.complete_us for d in descs)
+            waits.append(dev.write_page(PageAddress(bank, 0, 0),
+                                        b"\x05" * dev.geometry.page_size,
+                                        submit_us=0))
+        total = max(waits)
         assert total < banks * model.write_page_us
 
 
@@ -337,19 +338,19 @@ def test_untouched_block_reads_erased_and_is_charged():
     dev = SimFlashDevice(CARD)
     m = LatencyModel()
     addr = PageAddress(63, 4095, 63)
-    data, spare, desc = dev.read_page(addr, want_spare=True)
+    data, spare, wait = dev.read_page(addr, want_spare=True)
     assert data == b"\xff" * CARD.page_size
     assert spare == b"\xff" * CARD.spare_per_page
-    assert desc.service_latency == CARD.sectors_per_page * m.read_unit_us
+    assert wait == CARD.sectors_per_page * m.read_unit_us
     again, _, _ = dev.read_page(PageAddress(5, 17, 0))
     assert again is data                   # one shared erased page
     unit = CARD.read_unit
-    window, _, desc = dev.read_page(addr, offset=3 * unit, length=2 * unit)
+    window, _, wait = dev.read_page(addr, offset=3 * unit, length=2 * unit)
     assert window == b"\xff" * (2 * unit)
-    assert desc.service_latency == 2 * m.read_unit_us
-    probe, spare, desc = dev.read_page(addr, length=0, want_spare=True)
+    assert wait == 2 * m.read_unit_us
+    probe, spare, wait = dev.read_page(addr, length=0, want_spare=True)
     assert probe == b"" and spare == b"\xff" * CARD.spare_per_page
-    assert desc.service_latency == m.read_unit_us
+    assert wait == m.read_unit_us
     stats = dev.device_stats()
     assert stats.read_ops == 4
     assert stats.read_units == 2 * CARD.sectors_per_page + 2 + 1
@@ -384,8 +385,8 @@ def test_untouched_block_state_and_prefix():
 
 def test_erasing_untouched_block_counts_one_cycle():
     dev = SimFlashDevice(CARD)
-    desc = dev.erase_block(7, 99)
-    assert desc.service_latency == LatencyModel().erase_block_us
+    wait = dev.erase_block(7, 99)
+    assert wait == LatencyModel().erase_block_us
     assert dev.block_state(7, 99) == (1, 0, False, False)
     assert dev.device_stats().erase_counts_per_bank[7] == 1
     data, _, _ = dev.read_page(PageAddress(7, 99, 0))
@@ -504,7 +505,7 @@ def test_out_of_order_completions_match_clock_oracle():
     dev.enable_request_log()
     g = dev.geometry
     next_page = {}
-    issued = []
+    issued, waits = [], []
     for _ in range(400):
         bank = rng.randrange(g.num_banks)
         block = rng.randrange(8)
@@ -513,21 +514,23 @@ def test_out_of_order_completions_match_clock_oracle():
         if kind == "write" and next_page.get((bank, block), 0) < g.pages_per_block:
             page = next_page.get((bank, block), 0)
             next_page[(bank, block)] = page + 1
-            dev.write_page(PageAddress(bank, block, page), b"\x03" * g.page_size,
-                           submit_us=submit)
+            waits.append(dev.write_page(PageAddress(bank, block, page),
+                                        b"\x03" * g.page_size, submit_us=submit))
         elif kind == "erase":
             next_page[(bank, block)] = 0
-            dev.erase_block(bank, block, submit_us=submit)
+            waits.append(dev.erase_block(bank, block, submit_us=submit))
         else:
             kind = "read"
-            dev.read_page(PageAddress(bank, block, 0), length=g.read_unit,
-                          submit_us=submit)
+            waits.append(dev.read_page(PageAddress(bank, block, 0),
+                                       length=g.read_unit, submit_us=submit)[2])
         issued.append((kind, bank, submit))
     log = dev.request_log
     assert [(row[1], row[2], row[5]) for row in log] == issued
     ref = ServiceModel(g, dev.model)
-    assert [row[6] for row in log] == [ref.service(kind, (bank, 0, 0), submit)[2]
-                                       for kind, bank, submit in issued]
+    expect = [ref.service(kind, (bank, 0, 0), submit)
+              for kind, bank, submit in issued]
+    assert [(row[0], row[5], row[6]) for row in log] == expect
+    assert waits == [done - submit for _, submit, done in expect]
     by_completion = sorted(log, key=lambda row: (row[6], row[0]))
     assert [row[0] for row in by_completion] != [row[0] for row in log]
 
@@ -559,11 +562,11 @@ def test_request_path_matches_the_service_model(geometry, model):
         roll = rng.random()
         if roll < 0.3 and dev.written_prefix(bank, block) < g.pages_per_block:
             addr = make(bank, block, dev.written_prefix(bank, block))
-            desc = dev.write_page(addr, bytes([rng.randrange(256)]) * g.page_size,
+            wait = dev.write_page(addr, bytes([rng.randrange(256)]) * g.page_size,
                                   b"sp", submit_us=submit)
             expect = ref.service("write", addr, submit)
         elif roll < 0.35:
-            desc = dev.erase_block(bank, block, submit_us=submit)
+            wait = dev.erase_block(bank, block, submit_us=submit)
             expect = ref.service("erase", (bank, block, 0), submit)
         else:
             addr = make(bank, block, rng.randrange(g.pages_per_block))
@@ -573,15 +576,18 @@ def test_request_path_matches_the_service_model(geometry, model):
                 length, units = None, spp - first       # to the page's end
             else:
                 length = units * unit
-            _, _, desc = dev.read_page(addr, first * unit, length,
+            _, _, wait = dev.read_page(addr, first * unit, length,
                                        want_spare=rng.random() < 0.5,
                                        submit_us=submit)
             expect = ref.service("read", addr, submit, units)
-        assert (desc.request_id, desc.submit_us, desc.complete_us) == expect
+        row = dev.request_log[-1]
+        assert (row[0], row[5], row[6]) == expect
+        # an int, the scheduler's fast path, and the row's own wait
+        assert type(wait) is int and wait == row[6] - row[5]
         assert dev.now_us == ref.now_us
     assert dev.bus_free_at == ref.bus_free_at
     assert dev.bank_free_at == ref.bank_free_at
-    assert [q.free_at for q in dev.read_queues] == ref.queue_free_at
+    assert dev.read_queue_free_at == ref.queue_free_at
     assert dev.request_log == ref.log
     stats = vars(dev.device_stats())
     assert {k: stats[k] for k in ref.stats} == ref.stats
@@ -646,7 +652,7 @@ def test_request_checks_and_messages_for_both_address_forms(tmp_path, case,
 
 def clocks(dev):
     return (dev.now_us, list(dev.bus_free_at), list(dev.bank_free_at),
-            [q.free_at for q in dev.read_queues])
+            list(dev.read_queue_free_at))
 
 
 @pytest.mark.parametrize("n", [0, 5, TINY.pages_per_block])
@@ -679,8 +685,9 @@ def test_program_block_stores_and_counts_as_write_page_does(n):
     assert (clocks(looped) != before) == bool(n)
     assert synth.request_log == log
     nxt = PageAddress(3, 0, 0)
-    assert (synth.write_page(nxt, page_of(4)).request_id
-            == looped.write_page(nxt, page_of(4)).request_id)
+    for dev in (synth, looped):
+        dev.write_page(nxt, page_of(4))
+    assert synth.request_log[-1][0] == looped.request_log[-1][0] == n + 1
     for a, data in zip(addrs, pages):
         assert synth.read_page(a)[0] == data
 
