@@ -448,7 +448,6 @@ def run_init_scan(seed=0):
     chained checkpoint load against a full page-level scan."""
     bundle = preset("init-scan", seed)
     config = _config_for(bundle, seed, bundle.policy)
-    image = None
     eng = Engine.start(config)
     spec = WorkloadSpec(**{**bundle.workload.__dict__})
     spec.seed = seed

@@ -55,10 +55,16 @@ def window_blocks(geometry, k):
 # ---- table serialization ----------------------------------------------------
 
 def serialize_state(state):
-    bank_rows = []
-    for info in state.banks:
-        cur = -1 if info.current_block is None else info.current_block
-        bank_rows.append((info.free_blocks, info.valid_pages, cur, info.next_page))
+    g = state.geometry
+    # per bank: free blocks, valid pages, open block (-1: none), next page;
+    # a restore reads back only the last two
+    valid = state.valid_count.reshape(
+        g.num_banks, g.blocks_per_bank).sum(axis=1).tolist()
+    bank_rows = [
+        (info.free_blocks, pages,
+         -1 if info.current_block is None else info.current_block,
+         info.next_page)
+        for info, pages in zip(state.banks, valid)]
     bank_blob = np.asarray(bank_rows, dtype=np.int32).tobytes()
     return oob.pack_sections([
         (b"MAPT", state.map.tobytes()),

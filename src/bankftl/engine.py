@@ -1,15 +1,17 @@
 """Composition root: device + tables + IO engine + GC + checkpointing.
 
-start() builds the simulated card (fresh or from an image file), restores
-state via the checkpoint chain or the page-level recovery scan, and launches
-the worker actors. The handle exposes asynchronous submit plus synchronous
-sector read/write/flush wrappers that pump the virtual clock until the
-request completes, merged counters, quiesced audits, and clean/dirty
-shutdown. A clean shutdown drains the queues, stops the collectors, flushes
-every buffer (writers then collect inline, whatever the GC policy), saves
-the checkpoint chain and optionally persists the flash image; a dirty one
-drops the buffers cold to emulate a crash. The GC policy itself is known
-only to the GC controller.
+start() builds the simulated card (fresh from its profile, or from an image
+file, which also carries the card's bad blocks), restores state via the
+checkpoint chain or the page-level recovery scan, and launches the worker
+actors. The IO workers and the GC collectors charge their host CPU on the
+engine's one `CorePool` of `host_cores` cores. The handle exposes
+asynchronous submit plus synchronous sector read/write/flush wrappers that
+pump the virtual clock until the request completes, merged counters,
+quiesced audits, and clean/dirty shutdown. A clean shutdown drains the
+queues, stops the collectors, flushes every buffer (writers then collect
+inline, whatever the GC policy), saves the checkpoint chain and optionally
+persists the flash image; a dirty one drops the buffers cold to emulate a
+crash. The GC policy itself is known only to the GC controller.
 """
 
 import math
@@ -18,22 +20,19 @@ from dataclasses import dataclass, field
 from .checkpoint import Checkpointer
 from .errors import CheckpointError, ConfigurationError, EngineStateError
 from .ftl_state import FtlState
-from .gc_engine import GcController, GcPolicy, default_levels
+from .gc_engine import GcController, GcPolicy
 from .io_engine import EngineParams, IoEngine, IoRequest
 from .sched import ActorFailed, CorePool, Scheduler
-from .sim_flash import PROFILES, LatencyModel, SimFlashDevice
+from .sim_flash import PROFILES, SimFlashDevice
 
 
 @dataclass
 class EngineConfig:
     profile: str = "desk8"
-    geometry: object = None            # overrides profile when set
-    model: LatencyModel = None
-    bad_blocks: tuple = ()
-    image_path: str = None
+    image_path: str = None             # a card image, loaded when it exists
     io: EngineParams = field(default_factory=EngineParams)
     policy: GcPolicy = field(default_factory=GcPolicy)
-    levels: list = None
+    levels: list = None                # default: gc_engine.default_levels
     checkpoint_k: int = 4
     export_ratio: float = 0.875
     host_cores: int = 4
@@ -100,18 +99,15 @@ class Engine:
 
     def __init__(self, config):
         self.config = config.validate()
-        geometry = config.geometry or PROFILES[config.profile]
+        self._had_image = False
         if config.image_path is not None:
             try:
                 self.device = SimFlashDevice.load_image(config.image_path)
                 self._had_image = True
             except FileNotFoundError:
-                self.device = SimFlashDevice(geometry, config.model,
-                                             config.bad_blocks)
-                self._had_image = False
-        else:
-            self.device = SimFlashDevice(geometry, config.model, config.bad_blocks)
-            self._had_image = False
+                pass
+        if not self._had_image:
+            self.device = SimFlashDevice(PROFILES[config.profile])
         self.sched = Scheduler(config.seed)
         self.cores = CorePool(self.sched, config.host_cores)
         self.state = FtlState(self.device.geometry, config.io.num_buffers,
@@ -119,14 +115,13 @@ class Engine:
                               sorted(self.device.bad_block_set()))
         self.ckpt = Checkpointer(self.sched, self.device, self.state,
                                  config.checkpoint_k)
-        self.io = IoEngine(self.sched, self.device, self.state, config.io)
+        self.io = IoEngine(self.sched, self.device, self.state, config.io,
+                           self.cores)
         self.gc = GcController(self.sched, self.device, self.state, config.policy,
-                               config.levels or default_levels(self.device.geometry),
+                               self.cores, config.levels,
                                io_workers=config.io.num_queues)
         window_us = self.gc.policy.activity_window_us
         self.gc.io_activity = lambda: self.io.recent_active(window_us, self.sched.now)
-        self.io.cores = self.cores
-        self.gc.cores = self.cores
         self.io.gc = self.gc
         self.live = False
         self.recovered_via = "fresh"

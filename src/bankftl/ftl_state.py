@@ -29,12 +29,11 @@ UNMAPPED = 0x7FFFFFFF          # all-ones in 31 bits; every ppn stays below it
 
 
 class BankInfo:
-    __slots__ = ("free_blocks", "valid_pages", "current_block",
-                 "next_page", "gc_active", "exclusive_gc", "writers_active")
+    __slots__ = ("free_blocks", "current_block", "next_page", "gc_active",
+                 "exclusive_gc", "writers_active")
 
     def __init__(self, free_blocks):
         self.free_blocks = free_blocks
-        self.valid_pages = 0
         self.current_block = None
         self.next_page = 0
         self.gc_active = False
@@ -177,7 +176,6 @@ class FtlState:
         count = int(self.valid_count[block])
         self.valid_count[block] = count + 1
         bank, local = divmod(block, g.blocks_per_bank)
-        self.banks[bank].valid_pages += 1
         self.mark_valid_total += 1
         self._rebucket(bank, local, count, count + 1)
 
@@ -192,7 +190,6 @@ class FtlState:
         count = int(self.valid_count[block])
         self.valid_count[block] = count - 1
         bank, local = divmod(block, g.blocks_per_bank)
-        self.banks[bank].valid_pages -= 1
         self.mark_invalid_total += 1
         self._rebucket(bank, local, count, count - 1)
 
@@ -269,17 +266,12 @@ class FtlState:
         return buckets, bucket_bits
 
     def recount(self):
-        """Re-derive the per-bank free and valid counters, the mark totals
-        and the victim index from free_bits, bad_bits and valid_count: the
-        one call a bulk writer makes after writing those arrays directly."""
-        g = self.geometry
-        free = self.free_bits.sum(axis=1).tolist()
-        valid = self.valid_count.reshape(
-            g.num_banks, g.blocks_per_bank).sum(axis=1).tolist()
-        for info, f, v in zip(self.banks, free, valid):
-            info.free_blocks = f
-            info.valid_pages = v
-        self.mark_valid_total = sum(valid)
+        """Re-derive the per-bank free counters, the mark totals and the
+        victim index from free_bits, bad_bits and valid_count: the one call
+        a bulk writer makes after writing those arrays directly."""
+        for info, free in zip(self.banks, self.free_bits.sum(axis=1).tolist()):
+            info.free_blocks = free
+        self.mark_valid_total = int(self.valid_count.sum())
         self.mark_invalid_total = 0
         self.buckets, self.bucket_bits = self._index_from_arrays()
 
@@ -337,12 +329,6 @@ class FtlState:
             if popcount != info.free_blocks:
                 problems.append(
                     f"bank {bank}: free bitmap {popcount} != counter {info.free_blocks}")
-            lo = bank * g.blocks_per_bank
-            hi = lo + g.blocks_per_bank
-            valid_sum = int(self.valid_count[lo:hi].sum())
-            if valid_sum != info.valid_pages:
-                problems.append(
-                    f"bank {bank}: blkinfo sum {valid_sum} != bankinfo {info.valid_pages}")
             if info.current_block is not None:
                 if self.free_bits[bank, info.current_block]:
                     problems.append(f"bank {bank}: current block marked free")

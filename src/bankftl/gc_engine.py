@@ -28,9 +28,13 @@ bank (exclusiveGC). Once the collectors are stopped, writers collect inline
 under every policy, so the final flush of a clean shutdown can still reclaim.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import oob
+
+# free blocks past the panic threshold a bank must regain before the
+# adaptive master clears its exclusiveGC flag
+PANIC_HYSTERESIS = 2
 
 
 def move_live_pages(sched, device, state, bank, block, alloc, cores=None,
@@ -58,18 +62,15 @@ def move_live_pages(sched, device, state, bank, block, alloc, cores=None,
         if meta is None:
             continue
         lpn = meta[1]
-        # a fresh stamp would let a copy that loses its swap outrank newer
-        # user data during recovery; a data page's spare, its CRC just
-        # checked against `data`, is already the copy's
-        if meta[0] == oob.TYPE_DATA:
-            new_spare = spare[:oob.SPARE_BYTES]
-        else:
-            new_spare = oob.encode_spare(oob.TYPE_DATA, lpn, meta[2], data)
         new_ppn = alloc()
         if new_ppn is None:
             return False
-        yield device.write_page(g.split_ppn(new_ppn), data, new_spare,
-                                submit_us=sched.now)
+        # a fresh stamp would let a copy that loses its swap outrank newer
+        # user data during recovery; only data pages are marked valid, and a
+        # data page's spare, its CRC just checked against `data`, is already
+        # the copy's
+        yield device.write_page(g.split_ppn(new_ppn), data,
+                                spare[:oob.SPARE_BYTES], submit_us=sched.now)
         if cores:
             yield cores.charge(copy_cpu_us)
         won = state.map_update_if(lpn, old_ppn, new_ppn)
@@ -129,32 +130,27 @@ class GcStats:
 class GcPolicy:
     kind: str = "PLLGC"            # NPGC | PLLGC | PLLGC_ADAPTIVE
     max_gc_threads: int = 1
-    adaptive_map: list = None      # [(lo_io, hi_io, permitted)], any order;
-                                   # default: default_adaptive_map
     idle_poll_us: int = 500
     master_tick_us: int = 200
     activity_window_us: int = 1000
     copy_cpu_us: int = 20          # host CPU per page copied (driver path)
     round_cpu_us: int = 5          # host CPU per erase issue / bookkeeping
     scan_cpu_us: int = 40          # host CPU per victim scan of one bank
-    panic_free_blocks: int = None  # default: half the deepest level threshold
-    panic_hysteresis: int = 2
-
-    def permitted_for(self, active_io):
-        for lo, hi, permitted in self.adaptive_map:
-            if lo <= active_io <= hi:
-                return max(1, permitted)
-        return 1
 
 
 class GcController:
-    """Runs the collection step under `policy`. `io_workers` is the IO worker
-    count the default adaptive map is banded over."""
+    """Runs the collection step under `policy`, charging its host CPU on
+    `cores`, the engine's `CorePool`. `levels` defaults to `default_levels`
+    of the card; the adaptive band table is `default_adaptive_map` over
+    `io_workers` IO workers."""
 
-    def __init__(self, sched, device, state, policy, levels=None, io_workers=1):
+    def __init__(self, sched, device, state, policy, cores, levels=None,
+                 io_workers=1):
         self.sched = sched
         self.device = device
         self.state = state
+        self.policy = policy
+        self.cores = cores
         self.levels = levels or default_levels(device.geometry)
         # level by free-block count: the highest level whose threshold the
         # count is at or below
@@ -162,19 +158,13 @@ class GcController:
         for i, lvl in enumerate(self.levels):
             reach = min(max(lvl.free_threshold + 1, 0), len(self._level_of_free))
             self._level_of_free[:reach] = [i] * reach
-        # defaults are resolved in the controller's own copy: the caller's
-        # policy may serve another engine with another queue count
-        if policy.panic_free_blocks is None:
-            policy = replace(policy, panic_free_blocks=max(
-                1, self.levels[-1].free_threshold // 2))
-        if policy.adaptive_map is None:
-            policy = replace(policy, adaptive_map=default_adaptive_map(
-                io_workers, policy.max_gc_threads))
-        self.policy = policy
+        # [(lo_io, hi_io, permitted)]: the adaptive master's throttle
+        self.bands = default_adaptive_map(io_workers, policy.max_gc_threads)
+        # a bank at or below this many free blocks is flagged exclusiveGC
+        self.panic_free_blocks = max(1, self.levels[-1].free_threshold // 2)
         self.stats = GcStats()
         self.log = []                 # (ts_us, event, bank, block)
         self.running = False
-        self.cores = None             # host CorePool, wired by the facade
         self.io_activity = lambda: 0  # wired to IoEngine.recent_active
         self.permitted = policy.max_gc_threads
         self._paused = {}             # tid -> wake event
@@ -222,8 +212,7 @@ class GcController:
         before = self.stats.snapshot()
         t0 = self.sched.now
         self._note("victim-selected", bank, block)
-        if self.cores:
-            yield self.cores.charge(self.policy.round_cpu_us)
+        yield self.cores.charge(self.policy.round_cpu_us)
         gblock = bank * self.device.geometry.blocks_per_bank + block
         if int(state.valid_count[gblock]) > state.staging_room(bank):
             # not enough same-bank room to stage the copies; bail before
@@ -247,8 +236,7 @@ class GcController:
         if not done:
             self._note("abort-no-room", bank, block)
         elif int(state.valid_count[gblock]) == 0:
-            if self.cores:
-                yield self.cores.charge(self.policy.round_cpu_us)
+            yield self.cores.charge(self.policy.round_cpu_us)
             yield self.device.erase_block(bank, block, submit_us=self.sched.now)
             state.release_block(bank, block)
             self.stats.erases_performed += 1
@@ -265,8 +253,7 @@ class GcController:
         level = self.current_level(bank)
         if level is None:
             return None
-        if self.cores:
-            yield self.cores.charge(self.policy.scan_cpu_us)
+        yield self.cores.charge(self.policy.scan_cpu_us)
         victim = self.select_victim(bank, level)
         if victim is None:
             return None
@@ -371,15 +358,16 @@ class GcController:
         starved bank exclusiveGC until it recovers past the hysteresis."""
         active_io = self.io_activity()
         previous = self.permitted
-        self.permitted = self.policy.permitted_for(active_io)
+        self.permitted = next((permitted for lo, hi, permitted in self.bands
+                               if lo <= active_io <= hi), 1)
         if self.permitted != previous:
             self._note("throttle-change", self.permitted, active_io)
         for tid in sorted(list(self._paused)):
             if tid < self.permitted:
                 ev = self._paused.pop(tid)
                 ev.fire()
-        panic = self.policy.panic_free_blocks
-        clear_at = panic + self.policy.panic_hysteresis
+        panic = self.panic_free_blocks
+        clear_at = panic + PANIC_HYSTERESIS
         worst, worst_free = None, None
         for bank, info in enumerate(self.state.banks):
             if info.exclusive_gc and info.free_blocks >= clear_at:
@@ -408,6 +396,3 @@ class GcController:
         self.running = False
         for tid in list(self._paused):
             self._paused.pop(tid).fire()
-
-    def quiesced(self):
-        return all(a.done for a in self._actors)

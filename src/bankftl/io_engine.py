@@ -109,13 +109,19 @@ class BufferSlot:
 
 
 class IoEngine:
-    def __init__(self, sched, device, state, params=None):
+    """The IO front end. Workers charge their per-request CPU cost on
+    `cores`, the engine's `CorePool`; `gc`, the `GcController` whose
+    `inline` decides whether a writer collects first, is set once both
+    layers exist."""
+
+    def __init__(self, sched, device, state, params, cores):
         self.sched = sched
         self.device = device
         self.state = state
+        self.cores = cores
         g = device.geometry
         # the engine's own copy: the caller's params may serve another engine
-        self.params = replace(params) if params else EngineParams()
+        self.params = replace(params)
         if g.sectors_per_page < 2:
             raise ConfigurationError("engine needs at least 2 sectors per page")
         self.spp = g.sectors_per_page
@@ -131,8 +137,7 @@ class IoEngine:
         self.queues = [deque() for _ in range(self.params.num_queues)]
         self._wake = [None] * self.params.num_queues
         self._bank_cursor = 0
-        self.gc = None                    # wired by the facade
-        self.cores = None                 # host CorePool, wired by the facade
+        self.gc = None
         self.running = False
         self.last_work_us = [-10**15] * self.params.num_queues
         self._busy = [False] * self.params.num_queues
@@ -209,19 +214,14 @@ class IoEngine:
         slot_idx = None if until is None else self.state.buf_find(lpn)
         now = sched.now
         cpu_us = self.params.cpu_us
-        cores = self.cores
+        charge = self.cores.charge
         served = 0
         while served < n and slot_idx is not None:
             # nothing may be due by the end of the sector's charge
-            if cores:
-                delay = cores.charge(cpu_us, before=until)
-                if delay is None:
-                    break
-                now = sched.now = now + delay
-            elif now + cpu_us < until:
-                now = sched.now = now + cpu_us
-            else:
+            delay = charge(cpu_us, before=until)
+            if delay is None:
                 break
+            now = sched.now = now + delay
             served += 1
         if served:
             self.last_work_us[qi] = now
@@ -247,7 +247,7 @@ class IoEngine:
                 continue
             req = queue.popleft()
             self._busy[qi] = True
-            yield self.cores.charge(self.params.cpu_us) if self.cores else self.params.cpu_us
+            yield self.cores.charge(self.params.cpu_us)
             self.last_work_us[qi] = self.sched.now
             try:
                 if req.kind == "write":
@@ -441,7 +441,7 @@ class IoEngine:
         gc = self.gc
         while True:
             bank = self.pick_bank(exclude)
-            inline = gc is not None and gc.inline
+            inline = gc.inline
             if bank is not None:
                 if inline and gc.current_level(bank) is not None:
                     yield from gc.npgc_before_write(bank)

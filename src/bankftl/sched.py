@@ -2,9 +2,10 @@
 
 Engine workers, GC threads, the flush daemon and benchmark clients all run
 as cooperative actors (generators) on one Scheduler. An actor yields either
-a non-negative delay in microseconds or an Event to park on. Time is integer
-microseconds; ties are broken by submission order, so a fixed seed plus a
-fixed workload gives bit-identical runs.
+a delay, an `int` of microseconds (a negative one counts as zero), or an
+Event to park on; any other value fails the actor with a TypeError. Time is
+integer microseconds; ties are broken by submission order, so a fixed seed
+plus a fixed workload gives bit-identical runs.
 
 Runnable actors wait in two places. A FIFO `deque` holds those due now: new
 actors, zero-delay yields and the waiters of a fired event. A heap of
@@ -188,9 +189,13 @@ class Scheduler:
                         break
                     at = now
                 else:
-                    # numeric delay in microseconds
-                    delay = int(yielded)
-                    at = now + delay if delay > 0 else now
+                    # time is whole microseconds: truncating a fractional
+                    # delay would let the clocks drift apart unseen
+                    exc = TypeError(
+                        f"actor {actor.name!r} yielded {yielded!r}: a delay "
+                        f"must be an int of microseconds or an Event")
+                    self._finish(actor, error=exc)
+                    raise exc
                 if (ready or (heap and heap[0][0] <= at) or event.fired
                         or budget <= 0):
                     self._schedule(actor, at)

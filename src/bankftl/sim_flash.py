@@ -8,9 +8,11 @@ acts at once, is charged on virtual clocks from its caller's `submit_us`, and
 returns its wait, the microseconds from `submit_us` to its completion, for
 the caller to yield (`read_page` returns it after the data and spare). The
 submit time is the caller's, so actors on different schedulers can share one
-device. `request_log`, when enabled, records each request's id, submit and
-completion times. A page address is unpacked as a `(bank, block, page)`
-3-tuple, so a `PageAddress` and a plain tuple make the same request.
+device. `request_log`, when enabled, records each request's id (its place
+among the requests the card has accepted, which a saved image carries on),
+submit and completion times. A page address is unpacked as a
+`(bank, block, page)` 3-tuple, so a `PageAddress` and a plain tuple make the
+same request.
 `peek_page` and `program_block` are not requests and move no clock, counter
 or log: `peek_page` returns what a `read_page` of the same window would, for
 checks that must not move the model they check, and `program_block`
@@ -245,7 +247,6 @@ class SimFlashDevice:
         self.read_queue_free_at = [0] * ((g.num_banks + 1) // 2)
         self.bank_free_at = [0] * g.num_banks
         self.now_us = 0
-        self._next_req_id = 0
         self._stats = DeviceStats(erase_counts_per_bank=[0] * g.num_banks)
         self.request_log = None  # list of rows when enabled
 
@@ -300,9 +301,9 @@ class SimFlashDevice:
         self.bank_free_at[bank] = done
         if done > now:
             self.now_us = done
-        self._stats.requests_accepted += 1
-        rid = self._next_req_id
-        self._next_req_id = rid + 1
+        stats = self._stats
+        rid = stats.requests_accepted
+        stats.requests_accepted = rid + 1
         if self.request_log is not None:
             self.request_log.append(
                 (rid, kind, bank, block, page, submit_us, done))
@@ -469,7 +470,6 @@ class SimFlashDevice:
         stats = self._stats
         stats.pages_written += n
         stats.requests_accepted += n
-        self._next_req_id += n
 
     # ---- introspection ---------------------------------------------------
 

@@ -419,7 +419,8 @@ def _reused_config_run(cfg):
         lsn = (i * 7) % (eng.io.num_sectors // 4)
         eng.write_sector(lsn, sector_payload(("reuse", i), eng.io.sector_size))
     eng.flush()
-    resolved = (eng.io.params, eng.gc.policy)
+    resolved = (eng.io.params, eng.gc.policy, eng.gc.bands,
+                eng.gc.panic_free_blocks)
     stats = eng.stats()
     eng.shutdown(clean=True)
     return resolved, stats
@@ -430,10 +431,10 @@ def test_engine_start_resolves_defaults_into_its_own_copies():
     policy = GcPolicy(kind="PLLGC_ADAPTIVE", max_gc_threads=4)
     cfg = EngineConfig(profile="tiny", io=params, policy=policy, seed=5)
     before = (repr(params), repr(policy))
-    (tiny_params, tiny_policy), _ = _reused_config_run(cfg)
+    (_, _, tiny_bands, tiny_panic), _ = _reused_config_run(cfg)
     assert (repr(params), repr(policy)) == before
-    assert tiny_policy.adaptive_map == [(0, 1, 4), (2, 2, 2), (3, 3, 1), (4, 4, 1)]
-    assert tiny_policy.panic_free_blocks == 1
+    assert tiny_bands == [(0, 1, 4), (2, 2, 2), (3, 3, 1), (4, 4, 1)]
+    assert tiny_panic == 1
 
     # the same objects serve a 64-queue desk8 engine, as fresh ones would
     cfg.profile = "desk8"
@@ -445,7 +446,6 @@ def test_engine_start_resolves_defaults_into_its_own_copies():
         profile="desk8", io=EngineParams(num_queues=64, num_buffers=8),
         policy=GcPolicy(kind="PLLGC_ADAPTIVE", max_gc_threads=4), seed=5))
     assert reused == fresh
-    (desk_params, desk_policy), _ = reused
-    assert desk_policy.adaptive_map == [(0, 16, 4), (17, 32, 2), (33, 48, 1),
-                                        (49, 64, 1)]
-    assert desk_policy.panic_free_blocks == 2
+    (_, _, desk_bands, desk_panic), _ = reused
+    assert desk_bands == [(0, 16, 4), (17, 32, 2), (33, 48, 1), (49, 64, 1)]
+    assert desk_panic == 2

@@ -93,9 +93,6 @@ def test_counts_match_bruteforce_oracle_random():
         per_block[ppn // TINY.pages_per_block] += 1
     assert np.array_equal(state.valid_count, per_block)
     assert state.mark_valid_total - state.mark_invalid_total == len(shadow)
-    for bank, info in enumerate(state.banks):
-        lo = bank * TINY.blocks_per_bank
-        assert info.valid_pages == per_block[lo:lo + TINY.blocks_per_bank].sum()
 
 
 def test_claims_block_and_release():

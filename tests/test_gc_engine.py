@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from bankftl.gc_engine import (GcController, GcLevel, GcPolicy,
-                               default_adaptive_map, default_levels)
+from bankftl.gc_engine import (PANIC_HYSTERESIS, GcController, GcLevel,
+                               GcPolicy, default_adaptive_map, default_levels)
 from bankftl.oob import TYPE_DATA, decode_spare, encode_spare
 
 from conftest import TINY, ShadowBlockDevice, sector_payload, synth_block, tiny_engine
@@ -18,6 +18,12 @@ LEVELS = [GcLevel(6, 0), GcLevel(4, 2), GcLevel(2, 4)]
 
 def gc_engine(levels=LEVELS, policy=None):
     return tiny_engine(policy=policy or GcPolicy(kind="NPGC"), levels=levels)
+
+
+def bank_valid(eng, bank):
+    """The bank's valid pages: the sum of its blocks' valid counts."""
+    lo = bank * TINY.blocks_per_bank
+    return int(eng.state.valid_count[lo:lo + TINY.blocks_per_bank].sum())
 
 
 def drain_free(eng, bank, leave):
@@ -76,7 +82,7 @@ def test_level_table_matches_threshold_rule():
         levels = [GcLevel(rng.randint(-2, 20), rng.randint(0, 8))
                   for _ in range(rng.randint(1, 4))]
         gc = GcController(eng.sched, eng.device, eng.state,
-                          GcPolicy(kind="NPGC", panic_free_blocks=1), levels)
+                          GcPolicy(kind="NPGC"), eng.cores, levels)
         for free in range(TINY.blocks_per_bank + 1):
             eng.state.banks[0].free_blocks = free
             want = None
@@ -179,7 +185,7 @@ def test_collect_copies_stay_in_bank_and_remap():
     open_current(eng, bank)
     before = eng.device.device_stats()
     free_before = eng.state.banks[bank].free_blocks
-    valid_before = eng.state.banks[bank].valid_pages
+    valid_before = bank_valid(eng, bank)
     delta = eng.run(eng.gc.collect_block(bank, block))
     after = eng.device.device_stats()
     assert delta.valid_pages_copied == 3
@@ -189,7 +195,7 @@ def test_collect_copies_stay_in_bank_and_remap():
     for lpn in lpns:
         ppn = eng.state.map_lookup(lpn)
         assert ppn // (TINY.blocks_per_bank * TINY.pages_per_block) == bank
-    assert eng.state.banks[bank].valid_pages == valid_before
+    assert bank_valid(eng, bank) == valid_before
     assert eng.state.banks[bank].free_blocks == free_before + 1
     # GC transparency
     for lsn, data in writes.items():
@@ -303,10 +309,10 @@ def test_adaptive_map_default_bands():
 
 
 def test_master_tick_throttle_and_exclusive():
-    policy = GcPolicy(kind="PLLGC_ADAPTIVE", max_gc_threads=8,
-                      adaptive_map=default_adaptive_map(64, 8))
+    policy = GcPolicy(kind="PLLGC_ADAPTIVE", max_gc_threads=8)
     eng = gc_engine(policy=policy)
     gc = eng.gc
+    gc.bands = default_adaptive_map(64, 8)       # as if 64 IO workers
     gc.io_activity = lambda: 64
     assert gc.master_tick() == 1
     gc.io_activity = lambda: 0
@@ -314,12 +320,12 @@ def test_master_tick_throttle_and_exclusive():
     gc.io_activity = lambda: 20
     assert gc.master_tick() == 4
     # exclusive flag on the single worst bank, cleared with hysteresis
-    drain_free(eng, 3, max(0, gc.policy.panic_free_blocks - 1))
+    drain_free(eng, 3, max(0, gc.panic_free_blocks - 1))
     gc.master_tick()
     assert eng.state.banks[3].exclusive_gc
     flagged = [b for b, i in enumerate(eng.state.banks) if i.exclusive_gc]
     assert flagged == [3]
-    while eng.state.banks[3].free_blocks < gc.policy.panic_free_blocks + 2:
+    while eng.state.banks[3].free_blocks < gc.panic_free_blocks + PANIC_HYSTERESIS:
         eng.state.release_block(3, eng.state.banks[3].free_blocks)  # refill
     gc.master_tick()
     assert not eng.state.banks[3].exclusive_gc
@@ -328,9 +334,9 @@ def test_master_tick_throttle_and_exclusive():
 
 def test_adaptive_worker_count_respects_permit_bound():
     policy = GcPolicy(kind="PLLGC_ADAPTIVE", max_gc_threads=4,
-                      adaptive_map=[(0, 64, 2)], idle_poll_us=200,
-                      master_tick_us=100)
+                      idle_poll_us=200, master_tick_us=100)
     eng = tiny_engine(policy=policy, levels=LEVELS)
+    eng.gc.bands = [(0, 64, 2)]     # set before any collector runs
     for bank in range(4):
         for block in range(3):
             synth_block(eng, bank, block, [], fill_pages=2)
@@ -381,12 +387,12 @@ def test_free_block_progress_and_conservation_loop():
         synth_block(eng, bank, 0, lpns, fill_pages=max(valid, 1))
         open_current(eng, bank)   # copies go to an already-open block
         free_before = eng.state.banks[bank].free_blocks
-        valid_before = eng.state.banks[bank].valid_pages
+        valid_before = bank_valid(eng, bank)
         delta = eng.run(eng.gc.collect_block(bank, 0))
         assert delta.blocks_collected == 1
         assert delta.erases_performed >= delta.blocks_collected
         assert eng.state.banks[bank].free_blocks == free_before + 1
-        assert eng.state.banks[bank].valid_pages == valid_before
+        assert bank_valid(eng, bank) == valid_before
         eng.state.audit()
         eng.shutdown(clean=False)
 

@@ -122,8 +122,8 @@ def test_golden_digest_64_banks(tmp_path):
     # three pages' worth of sectors per bank: every bank programs pages
     _write_sectors(eng, range(3 * 64 * spp), "first")
     result = {"written": _quiesced_result(eng)}
-    result["written"]["banks_programmed"] = sum(
-        eng.state.banks[bank].valid_pages > 0 for bank in range(64))
+    result["written"]["banks_programmed"] = int(
+        (eng.state.valid_count.reshape(64, -1).sum(axis=1) > 0).sum())
     eng.shutdown(clean=True)
     eng = tiny_engine(profile="desk64", queues=8, buffers=16, image_path=image)
     result["chain_load"] = _quiesced_result(eng)

@@ -10,7 +10,7 @@ from bankftl.errors import AddressError, ConfigurationError, EngineStateError
 from bankftl.ftl_state import UNMAPPED, BankInfo, FtlState
 from bankftl.gc_engine import GcPolicy
 from bankftl.io_engine import EngineParams, IoEngine, IoRequest
-from bankftl.sched import Event, Scheduler
+from bankftl.sched import CorePool, Event, Scheduler
 from bankftl.sim_flash import PROFILES, SimFlashDevice
 
 from conftest import TINY, ShadowBlockDevice, sector_payload, tiny_engine
@@ -205,8 +205,9 @@ def reference_pick_bank(io, exclude=()):
 def test_pick_bank_matches_reference_rule(profile):
     device = SimFlashDevice(PROFILES[profile])
     n = device.geometry.num_banks
-    io = IoEngine(Scheduler(5), device, _BankTable(n),
-                  EngineParams(num_buffers=1))
+    sched = Scheduler(5)
+    io = IoEngine(sched, device, _BankTable(n), EngineParams(num_buffers=1),
+                  CorePool(sched, 1))
     rng = random.Random(profile)
     outcomes = set()
     for _ in range(3000):

@@ -74,6 +74,22 @@ def test_join_propagates_actor_errors():
         sched.join(actor)
 
 
+@pytest.mark.parametrize("delay", [1.7, 2.0, True, "3"])
+def test_a_delay_that_is_not_an_int_fails_its_actor(delay):
+    sched = Scheduler(0)
+    resumed = []
+
+    def sleeper():
+        yield delay
+        resumed.append(sched.now)
+
+    actor = sched.spawn(sleeper(), "sleeper")
+    with pytest.raises(TypeError, match="'sleeper'"):
+        sched.run_until_idle()
+    assert resumed == [] and sched.now == 0
+    assert actor.done and isinstance(actor.error, TypeError)
+
+
 def test_pump_detects_lost_wakeup():
     sched = Scheduler(0)
     never = sched.event()
@@ -213,7 +229,7 @@ class HeapScheduler:
             budget -= 1
 
 
-DELAYS = (0, 0, 0, 1, 1, 2, 3, 5, -4, 2.7)
+DELAYS = (0, 0, 0, 1, 1, 2, 3, 5, -4, 4)
 
 
 def random_program(rng, events, depth=0):

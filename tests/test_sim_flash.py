@@ -767,6 +767,22 @@ def test_image_roundtrip_keeps_wear_flags_and_clock(tmp_path):
     assert copy.now_us == dev.now_us
 
 
+def test_request_ids_continue_across_an_image(tmp_path):
+    dev = tiny_device()
+    dev.enable_request_log()
+    dev.write_page(PageAddress(0, 0, 0), page_of(1))
+    dev.read_page(PageAddress(0, 0, 0), 0, 256)
+    dev.erase_block(1, 0)
+    path = tmp_path / "ids.img"
+    dev.save_image(path)
+    copy = SimFlashDevice.load_image(path)
+    copy.enable_request_log()
+    copy.read_page(PageAddress(0, 0, 0), 0, 256)
+    assert [row[0] for row in dev.request_log] == [0, 1, 2]
+    assert [row[0] for row in copy.request_log] == [3]
+    assert copy.device_stats().requests_accepted == 4
+
+
 def _resection(raw, drop=(), extra=(), **blobs):
     """Re-frame a good image with sections replaced, dropped or added."""
     sections = dict(zip(IMAGE_TAGS, unpack_sections(raw[8:], IMAGE_TAGS,

@@ -22,7 +22,7 @@ from bankftl.errors import AuditError
 from bankftl.ftl_state import UNMAPPED, FtlState
 from bankftl.gc_engine import GcController, GcLevel, GcPolicy
 from bankftl.io_engine import EngineParams
-from bankftl.sched import Scheduler
+from bankftl.sched import CorePool, Scheduler
 from bankftl.sim_flash import PROFILES, SimFlashDevice
 
 from conftest import TINY
@@ -52,8 +52,9 @@ def every_threshold(geometry):
 
 def collector(state):
     g = state.geometry
-    return GcController(Scheduler(0), SimFlashDevice(g), state,
-                        GcPolicy(kind="NPGC"), every_threshold(g))
+    sched = Scheduler(0)
+    return GcController(sched, SimFlashDevice(g), state, GcPolicy(kind="NPGC"),
+                        CorePool(sched, 1), every_threshold(g))
 
 
 def check_every_level(gc):
