@@ -79,7 +79,14 @@ class EngineConfig:
                 f"{policy.kind} needs max_gc_threads of at least 1")
         if not (1 <= self.checkpoint_k):
             raise ConfigurationError("checkpoint window must be positive")
+        # the pool books every charge on one of its cores, so it needs one
+        if not isinstance(self.host_cores, int) or self.host_cores < 1:
+            raise ConfigurationError(
+                "host_cores must be a whole number of at least 1")
         if self.levels is not None:
+            if not self.levels:
+                raise ConfigurationError(
+                    "levels must name at least one GC level")
             frees = [lvl.free_threshold for lvl in self.levels]
             if frees != sorted(frees, reverse=True) or len(set(frees)) != len(frees):
                 raise ConfigurationError("level free thresholds must strictly decrease")

@@ -283,8 +283,18 @@ class GcController:
         try:
             rounds = 0
             while rounds < self.device.geometry.blocks_per_bank:
-                delta = yield from self._collect_step(bank)
-                if delta is None:
+                # `_collect_step`'s statements, without its generator: each
+                # device wait of the writer's collection passes one less
+                level = self.current_level(bank)
+                if level is None:
+                    break
+                yield self.cores.charge(self.policy.scan_cpu_us)
+                victim = self.select_victim(bank, level)
+                if victim is None:
+                    break
+                delta = yield from self.collect_block(bank, victim)
+                if not (delta.blocks_collected or delta.valid_pages_copied
+                        or delta.wasted_copies):
                     break
                 rounds += 1
             self.stats.rounds += 1 if rounds else 0

@@ -34,6 +34,19 @@ heap order are those of the handoffs. The run then queues the sector it
 stopped at, as `submit` would, and returns that request for the caller to
 wait on.
 
+A first sector that misses (its LPN is not buffered) is served the same
+way, by the worker's own per-request body (`_serve`: charge, eviction,
+merge, bank pick, inline collection, page program, fire): while the worker
+is parked, no actor is ready and no heap entry is due now, `write_run`
+drives that body in the caller's step through `Scheduler.run_in_place`,
+which resumes each of its yields in place as long as `_run` would. At the
+first yield that would not, the parked worker adopts the half-run body
+(`_adopted`), queued where `_run` would have put it, and `write_run`
+returns the miss's request. A body run to its end is followed by the
+page's remaining sectors as hits, in the same call; a miss that failed,
+or that made another actor due, returns its fired request instead.
+`submit` and reads always queue.
+
 Device backpressure is inherent in the device's one, synchronous request
 path (queue occupancy is charged as wait time), so no retry/backoff loop is
 needed here.
@@ -136,6 +149,9 @@ class IoEngine:
         self._lru, self._lru_pos, self._lru_at = [], 0, 0
         self.queues = [deque() for _ in range(self.params.num_queues)]
         self._wake = [None] * self.params.num_queues
+        self._workers = []
+        # a request `write_run` began and its parked worker is to go on with
+        self._adopted = [None] * self.params.num_queues
         self._bank_cursor = 0
         self.gc = None
         self.running = False
@@ -195,9 +211,14 @@ class IoEngine:
         one-sector write and wait on it before the next. The run is served
         in the caller's own step up to the first sector whose queued
         handoff would not run with no other actor in between (see the
-        module docstring); that sector is queued and its request returned.
-        Returns None when the whole run was served. A payload that is not
-        whole sectors serves none and is queued whole."""
+        module docstring). A first sector that misses runs the worker's own
+        body here; if that body has to wait past another actor, the worker
+        takes it over and its request is returned. Otherwise the sector
+        the run stopped at is queued and its request returned, or, when an
+        in-place miss failed or another actor became due with it, the
+        miss's fired request is. Returns None when the whole run was
+        served. A payload that is not whole sectors serves none and is
+        queued whole."""
         self._check(lsn)
         size = self.sector_size
         n, rest = divmod(len(data), size)
@@ -207,25 +228,47 @@ class IoEngine:
         qi = self._dispatch(lsn)
         if rest:
             return self._enqueue(IoRequest("write", lsn, data), qi)
+        sched = self.sched
+        wake = self._wake[qi]
+        served = 0
+        slot_idx = None
+        if wake is not None:                  # the worker is parked
+            slot_idx = self.state.buf_find(lpn)
+            if slot_idx is None:
+                req = IoRequest("write", lsn, data[:size])
+                req._sched = sched
+                body = self._serve(qi, req)
+                done = sched.run_in_place(body, self._workers[qi], wake)
+                if done is None:
+                    return self._enqueue(req, qi)
+                if not done:
+                    self._wake[qi] = None
+                    self._adopted[qi] = body
+                    return req
+                if req.error is not None:
+                    return req
+                served = 1
+                slot_idx = self.state.buf_find(lpn)
         # the worker is parked, no actor is ready and the LPN is buffered;
         # none of this changes between sectors, only the clock does
-        sched = self.sched
-        until = None if self._wake[qi] is None else sched.in_place_until()
-        slot_idx = None if until is None else self.state.buf_find(lpn)
+        until = None if slot_idx is None else sched.in_place_until()
+        if served and until is None:
+            return req          # an actor is ready or the pump is done
         now = sched.now
         cpu_us = self.params.cpu_us
         charge = self.cores.charge
-        served = 0
-        while served < n and slot_idx is not None:
+        first = served                        # the first sector served as a hit
+        while served < n and until is not None:
             # nothing may be due by the end of the sector's charge
             delay = charge(cpu_us, before=until)
             if delay is None:
                 break
             now = sched.now = now + delay
             served += 1
-        if served:
+        if served > first:
             self.last_work_us[qi] = now
-            self._write_hit(self.slots[slot_idx], off, data[:served * size])
+            self._write_hit(self.slots[slot_idx], off + first,
+                            data[first * size:served * size])
         if served < n:
             return self._enqueue(IoRequest(
                 "write", lsn + served, data[served * size:(served + 1) * size]),
@@ -244,28 +287,54 @@ class IoEngine:
                 wake.fired = False            # re-arm; submit or stop fires it
                 self._wake[qi] = wake
                 yield wake
+                # a request `write_run` began in its caller's step goes on
+                # from the yield it stopped at
+                body = self._adopted[qi]
+                if body is not None:
+                    self._adopted[qi] = None
+                    yield from body
                 continue
-            req = queue.popleft()
-            self._busy[qi] = True
-            yield self.cores.charge(self.params.cpu_us)
-            self.last_work_us[qi] = self.sched.now
-            try:
-                if req.kind == "write":
-                    yield from self._write_sector(req.lsn, req.data)
-                    req.result = True
-                elif req.kind == "read":
-                    req.result = yield from self._read_sector(req.lsn)
-                elif req.kind == "flush":
-                    yield from self.flush_all()
-                    req.result = True
+            yield from self._serve(qi, queue.popleft())
+
+    def _serve(self, qi, req):
+        """Worker `qi`'s work on one request: charge its CPU cost, do it,
+        record an error on the request, fire it. A buffer hit runs in this
+        generator alone."""
+        self._busy[qi] = True
+        yield self.cores.charge(self.params.cpu_us)
+        self.last_work_us[qi] = self.sched.now
+        try:
+            if req.kind == "write":
+                data = req.data
+                if len(data) != self.sector_size:
+                    raise AddressError("write payload must be one sector")
+                lpn, off = divmod(req.lsn, self.spp)
+                slot_idx = self.state.buf_find(lpn)
+                if slot_idx is None:
+                    yield from self._write_sector(lpn, off, data)
                 else:
-                    raise AddressError(f"unknown request kind {req.kind!r}")
-            except Exception as exc:      # surfaced on the request handle
-                req.error = exc
-                self.error_log.append((self.sched.now, req.kind, req.lsn, repr(exc)))
-            self.last_work_us[qi] = self.sched.now
-            self._busy[qi] = False
-            req.fire()
+                    self._write_hit(self.slots[slot_idx], off, data)
+                req.result = True
+            elif req.kind == "read":
+                data = self._read_hit(req.lsn)
+                if data is None:
+                    lpn, off = divmod(req.lsn, self.spp)
+                    size = self.sector_size
+                    data = yield from self._read_mapped_page(lpn, off * size, size)
+                    if data is None:
+                        data = b"\x00" * size          # never-written sector
+                req.result = data
+            elif req.kind == "flush":
+                yield from self.flush_all()
+                req.result = True
+            else:
+                raise AddressError(f"unknown request kind {req.kind!r}")
+        except Exception as exc:      # surfaced on the request handle
+            req.error = exc
+            self.error_log.append((self.sched.now, req.kind, req.lsn, repr(exc)))
+        self.last_work_us[qi] = self.sched.now
+        self._busy[qi] = False
+        req.fire()
 
     # ---- write path -----------------------------------------------------------
 
@@ -285,33 +354,29 @@ class IoEngine:
         if slot.dirty == self.full_mask and not was_full:
             self.full_q.append(slot.index)
 
-    def _write_sector(self, lsn, data):
-        if len(data) != self.sector_size:
-            raise AddressError("write payload must be one sector")
-        lpn, off = divmod(lsn, self.spp)
-        state = self.state
-        slot_idx = state.buf_find(lpn)
-        if slot_idx is not None:
-            self._write_hit(self.slots[slot_idx], off, data)
-            return
+    def _write_sector(self, lpn, off, data):
+        """A write miss: take a buffer, install the LPN and write the
+        sector in one step, then program the page it evicted (merged with
+        flash if partial) and map it."""
         while True:
             slot, origin = self._select_buffer()
             if self._selection_valid(slot, origin):
                 break
-        detached = None
-        if slot.lpn is not None:
+        evicted = slot.lpn
+        if evicted is not None:
             # swap contents into a detached page and flush below
-            detached = (slot.lpn, slot.data, slot.dirty)
-            slot.data = bytearray(len(slot.data))
+            buf, dirty = slot.data, slot.dirty
+            slot.data = bytearray(len(buf))
             self.counters["evictions"] += 1
-        state.buf_set(slot.index, lpn)
+        self.state.buf_set(slot.index, lpn)
         slot.lpn = lpn
         slot.dirty = 0
         self._write_into_slot(slot, off, data)
         self.counters["cache_misses"] += 1
         self.counters["user_sectors_written"] += 1
-        if detached is not None:
-            yield from self._flush_page(*detached)
+        if evicted is not None:
+            ppn = yield from self._program_lpn_page(evicted, buf, dirty)
+            self._map_flushed(evicted, ppn)
 
     def _selection_valid(self, slot, origin):
         if origin == "empty":
@@ -406,10 +471,6 @@ class IoEngine:
             self.state.mark_invalid(old)
         self.counters["user_pages_flushed"] += 1
 
-    def _flush_page(self, lpn, buf, dirty_mask):
-        ppn = yield from self._program_lpn_page(lpn, buf, dirty_mask)
-        self._map_flushed(lpn, ppn)
-
     def pick_bank(self, exclude=()):
         """Rotate over banks with room, skipping GC-flagged ones when any
         alternative exists; with every candidate flagged, pick at random."""
@@ -433,37 +494,36 @@ class IoEngine:
         self._bank_cursor = (bank + 1) % n
         return bank
 
-    def _pick_bank_gc(self, exclude=()):
-        """Bank choice plus the inline-collection hook: when the GC
+    def _program_page(self, data, spare):
+        """Program a page to a bank `pick_bank` chooses. When the GC
         controller collects inline, a breached bank is collected before the
-        write proceeds."""
-        deadline = self.sched.now + self.params.exhaust_timeout_us
+        write proceeds; with no bank having room, inline GC collects every
+        bank, and otherwise the writer waits for the collectors."""
+        g = self.device.geometry
         gc = self.gc
         while True:
-            bank = self.pick_bank(exclude)
-            inline = gc.inline
-            if bank is not None:
-                if inline and gc.current_level(bank) is not None:
-                    yield from gc.npgc_before_write(bank)
-                return bank
-            # nothing has room: inline GC collects in place, collectors are
-            # waited on
-            if inline:
-                for b in range(self.device.geometry.num_banks):
-                    yield from gc.npgc_before_write(b)
-                if any(self.state.has_room(b, self.params.gc_reserve_blocks)
-                       for b in range(self.device.geometry.num_banks)):
-                    continue
-                raise ExhaustionError("no free block in any bank after inline GC")
-            if self.sched.now >= deadline:
-                raise ExhaustionError("no free block appeared before timeout")
-            self.counters["space_waits"] += 1
-            yield self.params.gc_wait_us
-
-    def _program_page(self, data, spare, exclude=()):
-        g = self.device.geometry
-        while True:
-            bank = yield from self._pick_bank_gc(exclude)
+            deadline = self.sched.now + self.params.exhaust_timeout_us
+            while True:
+                bank = self.pick_bank()
+                inline = gc.inline
+                if bank is not None:
+                    if inline and gc.current_level(bank) is not None:
+                        yield from gc.npgc_before_write(bank)
+                    break
+                # nothing has room: inline GC collects in place, collectors
+                # are waited on
+                if inline:
+                    for b in range(g.num_banks):
+                        yield from gc.npgc_before_write(b)
+                    if any(self.state.has_room(b, self.params.gc_reserve_blocks)
+                           for b in range(g.num_banks)):
+                        continue
+                    raise ExhaustionError(
+                        "no free block in any bank after inline GC")
+                if self.sched.now >= deadline:
+                    raise ExhaustionError("no free block appeared before timeout")
+                self.counters["space_waits"] += 1
+                yield self.params.gc_wait_us
             info = self.state.banks[bank]
             # allocate and program in one step: a block's pages reach the
             # device strictly in order
@@ -480,7 +540,9 @@ class IoEngine:
 
     # ---- read path -----------------------------------------------------------
 
-    def _read_sector(self, lsn):
+    def _read_hit(self, lsn):
+        """The sector's bytes from its buffer, or None for a read miss,
+        which the caller reads from flash."""
         lpn, off = divmod(lsn, self.spp)
         self.counters["user_sectors_read"] += 1
         slot_idx = self.state.buf_find(lpn)
@@ -492,11 +554,7 @@ class IoEngine:
                 self.counters["read_hits"] += 1
                 return bytes(slot.data[base:base + self.sector_size])
         self.counters["read_misses"] += 1
-        data = yield from self._read_mapped_page(
-            lpn, off * self.sector_size, self.sector_size)
-        if data is None:
-            return b"\x00" * self.sector_size   # never-written sector
-        return data
+        return None
 
     # ---- daemon / barriers ---------------------------------------------------
 
@@ -561,8 +619,9 @@ class IoEngine:
 
     def start_workers(self):
         self.running = True
-        return [self.sched.spawn(self.worker_loop(qi), f"io-worker-{qi}")
-                for qi in range(self.params.num_queues)]
+        self._workers = [self.sched.spawn(self.worker_loop(qi), f"io-worker-{qi}")
+                         for qi in range(self.params.num_queues)]
+        return self._workers
 
     def stop(self):
         self.running = False

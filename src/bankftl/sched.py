@@ -28,6 +28,16 @@ submitting client's step (`IoEngine.write_run`), which leaves virtual time
 and every heap sequence number as they would be. So `events_processed`
 counts the resumptions that ran, not the ones such a step stood in for, and
 that work uses no pump budget.
+
+`run_in_place(gen, actor, parked)` does the same for work that yields: it
+drives `gen`, the body a parked actor would run if woken now, inside the
+running step for as long as `_run` would resume that actor in place after
+each yield, moving `now` to each resume time. At the first yield that would
+not resume in place, the actor adopts the half-run body: it leaves the
+event it was parked on and is queued where `_run` would have put it (the
+heap, the FIFO, or the waiters of the yielded event), with the sequence
+number it would have drawn. The IO engine serves a write miss this way
+(eviction, page program, inline collection) in the writer's step.
 """
 
 import heapq
@@ -137,6 +147,47 @@ class Scheduler:
         heap = self._heap
         return heap[0][0] if heap else math.inf
 
+    def run_in_place(self, gen, actor, parked):
+        """Run `gen`, the body `actor` would run if `parked`, the unfired
+        event it is parked on, fired now, in the running step: each of
+        gen's yields that `_run` would resume in place (see
+        `in_place_until`) is resumed here, with `now` moved to its resume
+        time. Returns True when gen finished here. Returns None, starting
+        nothing, when the actor's wake step would not run next: another
+        actor is ready, the pumped event has fired, or a heap entry is due
+        at `now` (it runs before the FIFO). Otherwise returns False:
+        `actor` has left `parked` and waits where `_run` would have put it
+        after that yield, and its next resumption must send into gen. An
+        exception from gen propagates to the caller."""
+        until = self.in_place_until()
+        if until is None or until <= self.now:
+            return None
+        send = gen.send
+        while True:
+            try:
+                yielded = send(None)
+            except StopIteration:
+                return True
+            now = self.now
+            if type(yielded) is int:
+                at = now + yielded if yielded > 0 else now
+            elif isinstance(yielded, Event):
+                if not yielded.fired:
+                    parked._waiters.remove(actor)
+                    yielded._waiters.append(actor)
+                    return False
+                at = now
+            else:
+                raise TypeError(
+                    f"{actor.name!r}'s body yielded {yielded!r}: a delay "
+                    f"must be an int of microseconds or an Event")
+            until = self.in_place_until()
+            if until is None or at >= until:
+                parked._waiters.remove(actor)
+                self._schedule(actor, at)
+                return False
+            self.now = at
+
     def _run(self, event, max_events):
         """The one step loop: resume actors until `event` fires."""
         outer = self._target
@@ -229,7 +280,7 @@ class CorePool:
 
     def __init__(self, sched, cores):
         self.sched = sched
-        self.free_at = [0] * max(1, cores)
+        self.free_at = [0] * cores
 
     def charge(self, duration_us, before=None):
         free_at = self.free_at

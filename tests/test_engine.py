@@ -41,6 +41,20 @@ def test_config_cross_validation():
     EngineConfig(levels=[GcLevel(4, 0), GcLevel(2, 2)]).validate()
 
 
+def test_an_empty_level_table_is_rejected_by_name():
+    # it raised IndexError from the check of the first valid threshold
+    with pytest.raises(ConfigurationError, match="levels"):
+        EngineConfig(profile="tiny", levels=[]).validate()
+
+
+@pytest.mark.parametrize("cores", [0, -3, 1.5])
+def test_host_cores_must_be_a_whole_number_of_at_least_one(cores):
+    # 0 and -3 ran silently on one core
+    with pytest.raises(ConfigurationError, match="host_cores"):
+        Engine(EngineConfig(profile="tiny", host_cores=cores))
+    assert Engine(EngineConfig(profile="tiny", host_cores=1)).cores.free_at == [0]
+
+
 @pytest.mark.parametrize("kind", ["PLLGC", "PLLGC_ADAPTIVE"])
 def test_collector_policies_need_a_collector(kind):
     # with no collector the first writer that runs out of space waits

@@ -454,7 +454,9 @@ def test_collection_spares_a_block_whose_last_page_is_in_flight():
 
     def writer():
         # takes the block's last page and waits for its program
-        yield from eng.io._flush_page(lpn, bytearray(page), eng.io.full_mask)
+        ppn = yield from eng.io._program_lpn_page(lpn, bytearray(page),
+                                                  eng.io.full_mask)
+        eng.io._map_flushed(lpn, ppn)
 
     def collector():
         yield 1

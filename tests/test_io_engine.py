@@ -6,7 +6,8 @@ import pytest
 
 from bankftl import bench
 from bankftl.engine import Engine, EngineConfig
-from bankftl.errors import AddressError, ConfigurationError, EngineStateError
+from bankftl.errors import (AddressError, ConfigurationError, EngineStateError,
+                            ExhaustionError)
 from bankftl.ftl_state import UNMAPPED, BankInfo, FtlState
 from bankftl.gc_engine import GcPolicy
 from bankftl.io_engine import EngineParams, IoEngine, IoRequest
@@ -564,12 +565,13 @@ def test_clean_shutdown_joins_workers_parked_on_rearmed_wakes():
     assert eng.io._wake == [None] * 4
 
 
-# ---- runs of buffered writes served in the waiting caller's step -------------
+# ---- runs of sector writes served in the waiting caller's step ---------------
 #
-# `write_run` must leave every observable exactly as the queued path would:
-# each scenario runs twice, once as is and once with `write_run` serving
-# nothing and submitting the run's first sector, so that every sector is
-# submitted and waited on, and the two snapshots must be equal.
+# `write_run` must leave every observable exactly as the queued path would,
+# for buffer hits and for a first sector's miss alike: each scenario runs
+# twice, once as is and once with `write_run` serving nothing and submitting
+# the run's first sector, so that every sector is submitted and waited on,
+# and the two snapshots must be equal.
 
 def _queued_only(monkeypatch):
     def queue_first(self, lsn, data):
@@ -578,16 +580,27 @@ def _queued_only(monkeypatch):
 
 
 def _counting_runs(monkeypatch, runs):
-    """Records `(sectors asked, sectors served, request returned)` of every
-    `write_run`."""
-    write_run = IoEngine.write_run
+    """Records `(sectors asked, sectors served, request returned, miss)` of
+    every `write_run`. `miss` is what `Scheduler.run_in_place` returned for
+    the run's first sector: True when the miss was served in place, False
+    when the worker took it over, None when it was queued; "-" when the
+    call served no miss. A returned request that has fired was served."""
+    write_run, run_in_place = IoEngine.write_run, Scheduler.run_in_place
+    misses = []
+
+    def counted_miss(self, gen, actor, parked):
+        misses.append(run_in_place(self, gen, actor, parked))
+        return misses[-1]
 
     def counted(self, lsn, data):
+        misses.clear()
         req = write_run(self, lsn, data)
         n = len(data) // self.sector_size
-        runs.append((n, n if req is None else req.lsn - lsn, req))
+        k = n if req is None else req.lsn - lsn + req.fired
+        runs.append((n, k, req, misses[0] if misses else "-"))
         return req
     monkeypatch.setattr(IoEngine, "write_run", counted)
+    monkeypatch.setattr(Scheduler, "run_in_place", counted_miss)
 
 
 def _snapshot(eng, records):
@@ -615,8 +628,9 @@ def _snapshot(eng, records):
 def _write_and_wait(eng, lsn, payloads):
     """Writes `payloads`, one sector each, from `lsn` on as a client that
     waits on each sector before the next, as `bench` does: `write_run`
-    serves what it can and queues the sector it stops at, which is waited
-    on, and the run goes on after it. Returns the failed sectors' errors."""
+    serves what it can and returns the request of the sector it stops at,
+    which is waited on, and the run goes on after it. Returns the failed
+    sectors' errors."""
     errors = []
     i = 0
     while i < len(payloads):
@@ -685,9 +699,16 @@ def _mixed_run(policy_kind, seed):
     return snap
 
 
+# the least number of misses, over the three seeds, that were served in
+# place, handed to the worker mid-body, and served in place with hits after
+# them in the same call (about half of what each policy takes)
+MISS_FLOORS = {"NPGC": (120, 170, 60), "PLLGC": (25, 280, 10),
+               "PLLGC_ADAPTIVE": (40, 270, 15)}
+
+
 @pytest.mark.parametrize("policy_kind", ["NPGC", "PLLGC", "PLLGC_ADAPTIVE"])
 def test_served_hits_match_the_queued_path(monkeypatch, policy_kind):
-    collected = cut = 0
+    collected = cut = in_place = handed = then_hits = 0
     for seed in range(3):
         runs = []
         with monkeypatch.context() as m:
@@ -697,14 +718,20 @@ def test_served_hits_match_the_queued_path(monkeypatch, policy_kind):
             _queued_only(m)
             want = _mixed_run(policy_kind, seed)
         assert got == want, f"{policy_kind} seed {seed}"
-        assert sum(1 for _, k, _ in runs if k) >= 30, "the path was hardly taken"
-        assert sum(1 for n, k, _ in runs if k < n) >= 30
-        cut += sum(1 for n, k, _ in runs if 0 < k < n)
+        assert sum(1 for _, k, _, _ in runs if k) >= 30, "the path was hardly taken"
+        assert sum(1 for n, k, _, _ in runs if k < n) >= 30
+        cut += sum(1 for n, k, _, _ in runs if 0 < k < n)
+        in_place += sum(1 for *_, miss in runs if miss is True)
+        handed += sum(1 for *_, miss in runs if miss is False)
+        then_hits += sum(1 for _, k, _, miss in runs if miss is True and k > 1)
         collected += got["gc"]["blocks_collected"]
         assert got["io"]["evictions"] and got["io"]["merges"]
         assert got["io"]["read_hits"] and got["io"]["cache_hits"]
     assert collected > 0
     assert cut >= 10, "hardly a run stopped after serving some sectors"
+    floors = MISS_FLOORS[policy_kind]
+    assert (in_place >= floors[0] and handed >= floors[1]
+            and then_hits >= floors[2]), (in_place, handed, then_hits)
 
 
 # Directed cases: a parked worker and a buffered LPN, so that only the one
@@ -793,7 +820,7 @@ def test_directed_submit_inline_cases(monkeypatch, case):
     with monkeypatch.context() as m:
         _queued_only(m)
         want = _directed_run(*args)
-    assert runs[0][1] == want_served
+    assert runs[0][1] == want_served and runs[0][3] == "-"
     req = runs[0][2]
     if want_served == args[3]:
         assert req is None                 # served to the end of the run
@@ -808,17 +835,133 @@ def test_directed_submit_inline_cases(monkeypatch, case):
         assert took == args[3] * CPU + (5 if "busy" in case else 0)
 
 
-def test_write_run_serves_nothing_on_a_miss_or_a_busy_worker():
+def _miss_run(due_in=None, fault=None):
+    """Buffers one sector of each of LPNs 0-3, filling all 4 buffers; then
+    a client sleeps 50 us and writes all of LPN 4 (`_write_and_wait`). Its
+    first sector misses, evicts LPN 0's partial page and programs it. With
+    `due_in`, another actor is due that many us after the client starts;
+    `fault(eng)` runs just before the write. Returns the snapshot."""
+    eng = tiny_engine(policy=GcPolicy(kind="NPGC"), queues=2, buffers=4)
+    eng.device.enable_request_log()
+    for lpn in range(4):
+        wsec(eng, lpn * SPP)
+    records = []
+
+    def sleeper():
+        yield 50 + due_in
+
+    def client():
+        yield 50
+        if fault is not None:
+            fault(eng)
+        payloads = [sector_payload(("miss", k), SECTOR) for k in range(SPP)]
+        start = eng.sched.now
+        errors = yield from _write_and_wait(eng, 4 * SPP, payloads)
+        records.append((eng.sched.now - start, errors))
+
+    if due_in is not None:
+        eng.sched.spawn(sleeper(), "sleeper")
+    eng.pump(eng.sched.spawn(client(), "client").done_event)
+    snap = _snapshot(eng, records)
+    eng.shutdown(clean=True)
+    return snap
+
+
+def _fail_the_next_map(eng):
+    io = eng.io
+
+    def fail(lpn, ppn):
+        del io._map_flushed              # one failure, then the method again
+        raise ExhaustionError("forced map failure")
+    io._map_flushed = fail
+
+
+MISS_CASES = {
+    # (due_in, fault) -> (sectors the first call serves, its miss outcome)
+    "nothing-due": ((None, None), (SPP, True)),
+    # the charge ends before the other actor is due, the page program after
+    "due-within-the-program": ((CPU + 1, None), (0, False)),
+    "due-at-the-charge-end": ((CPU, None), (0, False)),
+    "failed-in-place": ((None, _fail_the_next_map), (1, True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISS_CASES))
+def test_directed_miss_cases(monkeypatch, case):
+    args, (want_served, want_miss) = MISS_CASES[case]
+    runs = []
+    with monkeypatch.context() as m:
+        _counting_runs(m, runs)
+        got = _miss_run(*args)
+    with monkeypatch.context() as m:
+        _queued_only(m)
+        want = _miss_run(*args)
+    assert got == want
+    n, served, req, miss = runs[0]
+    assert (n, served, miss) == (SPP, want_served, want_miss)
+    assert got["io"]["evictions"] == 1 and got["device"].pages_written == 1
+    took, errors = got["records"][0]
+    if case == "failed-in-place":
+        # the miss's own request comes back fired, its error on it
+        assert req.lsn == 4 * SPP and "forced map failure" in repr(req.error)
+        assert errors == [(4 * SPP, repr(req.error))]
+        assert [e[1:] for e in got["error_log"]] == [
+            ("write", 4 * SPP, repr(req.error))]
+    else:
+        assert errors == [] and got["error_log"] == []
+        assert (req is None) == (want_served == SPP)
+    assert took > SPP * CPU                  # the page program was waited on
+
+
+def test_a_sequential_overwriter_takes_fewer_steps_than_pages(monkeypatch):
+    """One writer overwriting N pages sector by sector, each sector waited
+    on, with nothing else due: every miss (eviction, program, inline
+    collection) runs in the writer's step, so the run takes fewer than N
+    scheduler steps, and leaves the queued path's snapshot. Queued misses
+    took about three steps a page."""
+    region, rounds = 128, 4
+
+    def overwrite():
+        eng = tiny_engine(policy=GcPolicy(kind="NPGC"), queues=4, buffers=8)
+        eng.device.enable_request_log()
+        records = []
+
+        def writer():
+            for r in range(rounds):
+                for lpn in range(region):
+                    payloads = [sector_payload((r, lpn, k), SECTOR)
+                                for k in range(SPP)]
+                    errors = yield from _write_and_wait(eng, lpn * SPP, payloads)
+                    records.append((lpn, eng.sched.now, errors))
+
+        steps = eng.sched.events_processed
+        eng.pump(eng.sched.spawn(writer(), "writer").done_event)
+        steps = eng.sched.events_processed - steps
+        snap = _snapshot(eng, records)
+        eng.shutdown(clean=True)
+        return snap, steps
+
+    with monkeypatch.context() as m:
+        _queued_only(m)
+        want, queued_steps = overwrite()
+    got, steps = overwrite()
+    assert got == want
+    assert got["gc"]["blocks_collected"] > 0
+    assert steps < region * rounds <= queued_steps
+
+
+def test_write_run_serves_a_miss_in_place_and_nothing_on_a_busy_worker():
     eng = tiny_engine(queues=1, buffers=4)
     io = eng.io
     data = sector_payload("run", SECTOR)
 
     def client():
-        miss = io.write_run(5 * SPP, data * 2)           # no buffer for LPN 5
-        assert (miss.kind, miss.lsn, bytes(miss.data)) == ("write", 5 * SPP, data)
-        assert list(io.queues[0]) == [miss]
-        yield miss
-        assert io.write_run(5 * SPP + 1, data * 2) is None
+        # no buffer for LPN 5, but the worker is parked and nothing is due:
+        # the miss and the hit after it are served in this step
+        steps = eng.sched.events_processed
+        assert io.write_run(5 * SPP, data * 2) is None
+        assert eng.sched.events_processed == steps and not io.queues[0]
+        assert io.write_run(5 * SPP + 2, data) is None
         first = io.submit(IoRequest("read", 5 * SPP))
         queued = io.write_run(5 * SPP + 3, data)         # the worker has a queue
         assert queued.lsn == 5 * SPP + 3 and list(io.queues[0]) == [first, queued]
@@ -831,6 +974,7 @@ def test_write_run_serves_nothing_on_a_miss_or_a_busy_worker():
     slot = eng.io.slots[eng.state.buf_find(5)]
     assert slot.dirty == 0b11111
     assert eng.io.counters["cache_hits"] == 4
+    assert eng.io.counters["cache_misses"] == 1
     eng.shutdown(clean=True)
 
 
@@ -885,4 +1029,4 @@ def test_drive_with_runs_matches_the_queued_path(monkeypatch, kind):
     report = got[0]
     assert report.errors == 0 and report.blocks_collected > 0
     written = report.counters["io"]["user_sectors_written"]
-    assert sum(k for _, k, _ in runs) >= 0.8 * written
+    assert sum(k for _, k, _, _ in runs) >= 0.8 * written

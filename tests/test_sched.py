@@ -1,3 +1,4 @@
+import collections
 import heapq
 import itertools
 import math
@@ -453,6 +454,154 @@ def test_clock_moved_inside_a_step_gives_the_yield_trace():
         assert steps == want_steps - sched.moved
         moved += sched.moved
     assert moved > 500
+
+
+# ---- a parked actor's body run in the step that would wake it ----------------
+
+class _Desk:
+    """A worker's job queue, the event it is parked on (None while it
+    works), and the body it goes on with after `run_in_place` handed it
+    over."""
+
+    def __init__(self):
+        self.jobs = collections.deque()
+        self.wake = None
+        self.adopted = None
+        self.actor = None
+
+
+def job_body(sched, events, trace, ops, done):
+    """The worker's work on one job: `program_actor`'s ops, then `done`."""
+    yield from program_actor(sched, events, trace, "w", ops)
+    done.fire()
+
+
+def desk_worker(sched, events, trace, desk):
+    wake = sched.event()
+    while True:
+        if desk.jobs:
+            yield from job_body(sched, events, trace, *desk.jobs.popleft())
+            continue
+        wake.fired = False
+        desk.wake = wake
+        yield wake
+        if desk.adopted is not None:
+            body, desk.adopted = desk.adopted, None
+            yield from body
+
+
+def job_client(sched, events, trace, name, ops, desk, outcomes):
+    """`program_actor` with one more op, `("job", ops)`: hand the worker a
+    job and wait until it is done. With `outcomes`, a list, a job for a
+    parked worker goes through `run_in_place`, whose result is appended to
+    it; without, every job is queued and its worker woken."""
+    trace.append((sched.now, name))
+    children = 0
+    for op, arg in ops:
+        if op == "fire":
+            events[arg].fire(name)
+            continue
+        if op == "spawn":
+            child = f"{name}.{children}"
+            children += 1
+            sched.spawn(program_actor(sched, events, trace, child, arg), child)
+            continue
+        if op == "job":
+            done = sched.event()
+            started = None
+            if outcomes is not None and desk.wake is not None:
+                body = job_body(sched, events, trace, arg, done)
+                started = sched.run_in_place(body, desk.actor, desk.wake)
+                outcomes.append(started)
+                if started is False:
+                    desk.wake, desk.adopted = None, body
+            if started is None:
+                desk.jobs.append((arg, done))
+                if desk.wake is not None:
+                    wake, desk.wake = desk.wake, None
+                    wake.fire()
+            yield done
+        else:
+            yield arg if op == "sleep" else events[arg]
+        trace.append((sched.now, name))
+
+
+def run_job_scenario(sched, seed, outcomes=None):
+    """Clients that hand jobs (random programs) to one worker, as
+    `job_client` does; returns the trace, each run's outcome and the
+    clock."""
+    rng = random.Random(seed)
+    n_events = rng.randrange(2, 7)
+    roots = []
+    for _ in range(rng.randrange(1, 6)):
+        ops = random_program(rng, n_events)
+        for _ in range(rng.randrange(1, 4)):
+            ops.insert(rng.randrange(len(ops) + 1),
+                       ("job", random_program(rng, n_events, depth=1)))
+        roots.append(ops)
+    prefired = [rng.random() < 0.25 for _ in range(n_events)]
+    target = rng.randrange(n_events)
+
+    trace, results = [], []
+    events = [sched.event() for _ in range(n_events)]
+    for ev, fired in zip(events, prefired):
+        if fired:
+            ev.fire("pre")
+    desk = _Desk()
+    desk.actor = sched.spawn(desk_worker(sched, events, trace, desk), "w")
+    for i, ops in enumerate(roots):
+        sched.spawn(job_client(sched, events, trace, f"c{i}", ops, desk,
+                               outcomes), f"c{i}")
+    for run in (lambda: sched.pump(events[target]), sched.run_until_idle):
+        try:
+            results.append(("ok", run(), sched.now))
+        except SchedulerHang as exc:
+            results.append(("hang", str(exc), sched.now))
+    return trace, results, sched.now
+
+
+def test_a_body_run_in_place_matches_the_heap_reference():
+    seen = collections.Counter()
+    saved = 0
+    for seed in range(600):
+        outcomes = []
+        sched = Scheduler(seed)
+        got = run_job_scenario(sched, seed, outcomes)
+        want = run_job_scenario(HeapScheduler(), seed)
+        assert got == want, f"seed {seed}"
+        queued = Scheduler(seed)
+        assert run_job_scenario(queued, seed) == want, f"seed {seed}"
+        # only the resumptions that ran are counted
+        assert sched.events_processed <= queued.events_processed
+        saved += queued.events_processed - sched.events_processed
+        seen.update(outcomes)
+    # finished in place, handed to the worker, not started
+    assert min(seen[True], seen[False], seen[None]) > 50, seen
+    assert saved > seen[True]
+
+
+def test_run_in_place_starts_nothing_while_an_entry_is_due_now():
+    sched = Scheduler(0)
+    wake = sched.event()
+    seen = []
+
+    def worker():
+        yield wake
+
+    def body():
+        seen.append("body")
+        yield 1
+
+    def client(tie):
+        yield 5
+        if tie:
+            seen.append(sched.run_in_place(body(), parked, wake))
+
+    parked = sched.spawn(worker(), "worker")
+    sched.spawn(client(True), "a")
+    sched.spawn(client(False), "b")           # due at 5 as well
+    sched.run_until_idle()
+    assert seen == [None] and wake._waiters == [parked]
 
 
 def test_pump_target_is_cleared_when_a_pump_fails():
